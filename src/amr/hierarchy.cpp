@@ -12,7 +12,6 @@ void Hierarchy::set_root(const std::array<std::uint64_t, 3>& dims) {
   root.parent = 0;
   root.dims = dims;
   grids_.push_back(root);
-  index_[0] = 0;
   next_id_ = 1;
 }
 
@@ -31,8 +30,9 @@ std::uint64_t Hierarchy::add_grid(GridDescriptor desc) {
                      "Hierarchy: degenerate grid");
     PARAMRIO_REQUIRE(desc.dims[ud] > 0, "Hierarchy: zero-cell grid");
   }
+  PARAMRIO_REQUIRE(next_id_ > grids_.back().id,
+                   "Hierarchy: grid ids must ascend");
   desc.id = next_id_++;
-  index_[desc.id] = grids_.size();
   children_[desc.parent].push_back(desc.id);
   grids_.push_back(desc);
   return desc.id;
@@ -42,24 +42,31 @@ void Hierarchy::clear_subgrids() {
   PARAMRIO_REQUIRE(!grids_.empty(), "Hierarchy: no root");
   GridDescriptor root = grids_[0];
   grids_.assign(1, root);
-  index_.clear();
-  index_[root.id] = 0;
   children_.clear();
   // Keep assigning fresh ids so stale references are detectable.
 }
 
+std::size_t Hierarchy::find(std::uint64_t id) const {
+  auto it = std::lower_bound(
+      grids_.begin(), grids_.end(), id,
+      [](const GridDescriptor& g, std::uint64_t v) { return g.id < v; });
+  return it != grids_.end() && it->id == id
+             ? static_cast<std::size_t>(it - grids_.begin())
+             : grids_.size();
+}
+
 const GridDescriptor& Hierarchy::grid(std::uint64_t id) const {
-  auto it = index_.find(id);
-  PARAMRIO_REQUIRE(it != index_.end(),
+  const std::size_t i = find(id);
+  PARAMRIO_REQUIRE(i != grids_.size(),
                    "Hierarchy: no grid " + std::to_string(id));
-  return grids_[it->second];
+  return grids_[i];
 }
 
 GridDescriptor& Hierarchy::grid_mut(std::uint64_t id) {
-  auto it = index_.find(id);
-  PARAMRIO_REQUIRE(it != index_.end(),
+  const std::size_t i = find(id);
+  PARAMRIO_REQUIRE(i != grids_.size(),
                    "Hierarchy: no grid " + std::to_string(id));
-  return grids_[it->second];
+  return grids_[i];
 }
 
 const std::vector<std::uint64_t>& Hierarchy::children(std::uint64_t id) const {
@@ -160,7 +167,8 @@ Hierarchy Hierarchy::deserialize(std::span<const std::byte> data) {
     for (auto& d : g.dims) d = r.u64();
     g.owner = static_cast<int>(r.u32());
     if (i == 0) {
-      PARAMRIO_REQUIRE(g.level == 0, "Hierarchy: first grid must be root");
+      PARAMRIO_REQUIRE(g.level == 0 && g.id == 0,
+                       "Hierarchy: first grid must be root");
       h.set_root(g.dims);
       h.grids_[0] = g;
     } else {

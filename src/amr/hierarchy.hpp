@@ -30,7 +30,7 @@ class Hierarchy {
   const GridDescriptor& root() const { return grid(0); }
   const GridDescriptor& grid(std::uint64_t id) const;
   GridDescriptor& grid_mut(std::uint64_t id);
-  bool has(std::uint64_t id) const { return index_.count(id) != 0; }
+  bool has(std::uint64_t id) const { return find(id) != grids_.size(); }
 
   const std::vector<std::uint64_t>& children(std::uint64_t id) const;
 
@@ -59,8 +59,10 @@ class Hierarchy {
   }
 
  private:
-  std::vector<GridDescriptor> grids_;
-  std::map<std::uint64_t, std::size_t> index_;
+  /// Position of grid `id` in grids_, or grids_.size() if there is none.
+  std::size_t find(std::uint64_t id) const;
+
+  std::vector<GridDescriptor> grids_;  ///< in ascending id order
   std::map<std::uint64_t, std::vector<std::uint64_t>> children_;
   std::uint64_t next_id_ = 0;
 };

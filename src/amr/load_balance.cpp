@@ -1,7 +1,10 @@
 #include "amr/load_balance.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
+#include <queue>
+#include <utility>
 
 namespace paramrio::amr {
 
@@ -14,13 +17,20 @@ std::vector<int> balance_greedy(const std::vector<std::uint64_t>& weights,
     if (weights[a] != weights[b]) return weights[a] > weights[b];
     return a < b;  // deterministic tie-break
   });
-  std::vector<std::uint64_t> load(static_cast<std::size_t>(nprocs), 0);
+  // Each grid goes to the least-loaded rank, the lowest-numbered one among
+  // equals, found in O(log P) from a min-heap of (load, rank).
+  using Slot = std::pair<std::uint64_t, int>;
+  std::vector<Slot> slots;
+  slots.reserve(static_cast<std::size_t>(nprocs));
+  for (int r = 0; r < nprocs; ++r) slots.emplace_back(0, r);
+  std::priority_queue<Slot, std::vector<Slot>, std::greater<>> least(
+      std::greater<>{}, std::move(slots));
   std::vector<int> owner(weights.size(), 0);
   for (std::size_t i : order) {
-    auto it = std::min_element(load.begin(), load.end());
-    int rank = static_cast<int>(it - load.begin());
+    auto [load, rank] = least.top();
+    least.pop();
     owner[i] = rank;
-    *it += weights[i];
+    least.emplace(load + weights[i], rank);
   }
   return owner;
 }

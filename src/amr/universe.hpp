@@ -32,13 +32,20 @@ class Universe {
   /// Overdensity (>= 1) at a point, at time t.  Positions wrap periodically.
   double density(double z, double y, double x, double t) const;
 
+  /// An upper bound on density() at every point of the closed box `region`
+  /// at time t: each clump counts at the box point nearest its centre.
+  double density_bound(const GridDescriptor& region, double t) const;
+
   /// Fill all baryon fields of `grid` (whose descriptor fixes the geometry)
   /// with the analytic state at time t.  Field values are deterministic
   /// functions of (position, t), so refined grids resample consistently.
   void fill_fields(Grid& grid, double t) const;
 
   /// Create `count` particles inside `region`, positions biased toward
-  /// dense areas by rejection sampling; ids start at `id_base`.
+  /// dense areas by rejection sampling against the domain's peak density;
+  /// ids start at `id_base`.  Trials that per-cell density bounds prove
+  /// rejected skip the density evaluation, but every trial draws the same
+  /// numbers, so the particles are those of plain rejection sampling.
   ParticleSet make_particles(std::uint64_t count, std::int64_t id_base,
                              const GridDescriptor& region, double t,
                              Rng rng) const;
@@ -49,10 +56,6 @@ class Universe {
   const std::vector<Clump>& clumps() const { return clumps_; }
 
  private:
-  /// density plus the clump-weighted mean drift velocity at a point.
-  void sample(double z, double y, double x, double t, double& rho,
-              std::array<double, 3>& vel) const;
-
   std::vector<Clump> clumps_;
 };
 

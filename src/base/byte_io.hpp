@@ -60,17 +60,9 @@ class ByteReader {
     return static_cast<std::uint8_t>(data_[pos_++]);
   }
 
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{u8()} << (8 * i);
-    return v;
-  }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(little_endian(4)); }
 
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{u8()} << (8 * i);
-    return v;
-  }
+  std::uint64_t u64() { return little_endian(8); }
 
   double f64() {
     std::uint64_t bits = u64();
@@ -102,6 +94,18 @@ class ByteReader {
   }
 
  private:
+  /// The next `n` (<= 8) bytes as a little-endian integer, bounds-checked
+  /// once for the whole value.
+  std::uint64_t little_endian(std::size_t n) {
+    need(n);
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      v |= std::uint64_t{static_cast<std::uint8_t>(data_[pos_ + i])} << (8 * i);
+    }
+    pos_ += n;
+    return v;
+  }
+
   void need(std::size_t n) const {
     if (pos_ + n > data_.size()) {
       throw FormatError("byte reader overrun: need " + std::to_string(n) +

@@ -18,7 +18,7 @@ class Rng {
 
   /// Next raw 64-bit value.
   std::uint64_t next_u64() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
+    std::uint64_t z = (state_ += kGamma);
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
@@ -45,10 +45,17 @@ class Rng {
     return s - 6.0;
   }
 
+  /// Skip the next `n` draws in O(1): the stream continues exactly as if
+  /// next_u64() had been called `n` times.  SplitMix64's state is a counter
+  /// stepped by a fixed odd constant, so a skip is one multiply-add.
+  void discard(std::uint64_t n) { state_ += n * kGamma; }
+
   /// Derive an independent child generator (e.g. one per rank, per grid).
   Rng split() { return Rng(next_u64() ^ 0xd1b54a32d192ed03ULL); }
 
  private:
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+
   std::uint64_t state_;
 };
 

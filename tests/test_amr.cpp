@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <set>
 
@@ -146,6 +147,35 @@ TEST(Hierarchy, SerializeRoundTrip) {
   Hierarchy back = Hierarchy::deserialize(h.serialize());
   EXPECT_EQ(h, back);
   EXPECT_EQ(back.children(0).size(), 5u);
+  for (std::uint64_t id = 0; id <= 5; ++id) {
+    EXPECT_EQ(back.grid(id).id, id);
+  }
+  EXPECT_FALSE(back.has(6));
+}
+
+TEST(Hierarchy, DeserializeRejectsIdsOutOfOrder) {
+  Hierarchy h;
+  h.set_root({8, 8, 8});
+  GridDescriptor c;
+  c.level = 1;
+  c.parent = 0;
+  c.left_edge = {0, 0, 0};
+  c.right_edge = {0.5, 0.5, 0.5};
+  c.dims = {8, 8, 8};
+  h.add_grid(c);
+  c.left_edge = {0.5, 0.5, 0.5};
+  c.right_edge = {1, 1, 1};
+  h.add_grid(c);
+  // Wire format: u64 count, u64 next id, then 96 bytes per grid, id first.
+  auto with_id = [&](std::size_t grid, std::uint64_t id) {
+    std::vector<std::byte> blob = h.serialize();
+    std::memcpy(blob.data() + 16 + 96 * grid, &id, sizeof id);
+    return blob;
+  };
+  EXPECT_EQ(Hierarchy::deserialize(with_id(2, 9)).grid(9).id, 9u);
+  EXPECT_THROW(Hierarchy::deserialize(with_id(2, 1)), LogicError);  // repeat
+  EXPECT_THROW(Hierarchy::deserialize(with_id(1, 3)), LogicError);  // descends
+  EXPECT_THROW(Hierarchy::deserialize(with_id(0, 4)), LogicError);  // root
 }
 
 TEST(Hierarchy, ClearSubgridsKeepsRootAndIdMonotonicity) {
