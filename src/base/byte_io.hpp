@@ -107,7 +107,7 @@ class ByteReader {
   }
 
   void need(std::size_t n) const {
-    if (pos_ + n > data_.size()) {
+    if (n > data_.size() - pos_) {  // pos_ + n could wrap for a huge n
       throw FormatError("byte reader overrun: need " + std::to_string(n) +
                         " at offset " + std::to_string(pos_) + " of " +
                         std::to_string(data_.size()));

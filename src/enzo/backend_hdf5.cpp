@@ -38,6 +38,14 @@ hdf5::Dataspace block_selection(const std::array<std::uint64_t, 3>& dims,
   return s;
 }
 
+// The restart-side twin of write_dump's "hdf5_dump.open" span: in parallel
+// mode this is the collective metadata read (rank 0 walks, then a bcast).
+hdf5::H5File open_dump(pfs::FileSystem& fs, const std::string& path,
+                       const hdf5::FileConfig& cfg) {
+  OBS_SPAN("hdf5_dump.open", sim::TimeCategory::kIo);
+  return hdf5::H5File::open(fs, path, cfg);
+}
+
 }  // namespace
 
 void Hdf5ParallelBackend::write_dump(mpi::Comm& comm,
@@ -142,7 +150,7 @@ void Hdf5ParallelBackend::read_initial(mpi::Comm& comm,
                                        const std::string& base) {
   hdf5::FileConfig cfg = config_;
   cfg.comm = &comm;
-  hdf5::H5File h = hdf5::H5File::open(fs_, base + ".h5", cfg);
+  hdf5::H5File h = open_dump(fs_, base + ".h5", cfg);
   DumpMeta meta = DumpMeta::deserialize(h.read_attribute("metadata"));
 
   {
@@ -226,7 +234,7 @@ void Hdf5ParallelBackend::read_restart(mpi::Comm& comm,
                                        const std::string& base) {
   hdf5::FileConfig cfg = config_;
   cfg.comm = &comm;
-  hdf5::H5File h = hdf5::H5File::open(fs_, base + ".h5", cfg);
+  hdf5::H5File h = open_dump(fs_, base + ".h5", cfg);
   DumpMeta meta = DumpMeta::deserialize(h.read_attribute("metadata"));
 
   {

@@ -14,9 +14,24 @@ constexpr std::uint32_t kKindDataset = 1;
 constexpr std::uint32_t kKindAttribute = 2;
 constexpr std::uint64_t kSuperblockSize = 32;
 constexpr std::uint64_t kRecordFixedSize = 16;  // kind u32, hdrlen u32, next u64
+/// One read per record fetches this much (HDF5's object-header speculative
+/// read size); only longer headers need a second read.
+constexpr std::uint64_t kSpeculativeRead = 512;
 
 std::uint64_t align_up(std::uint64_t v, std::uint64_t a) {
   return a <= 1 ? v : (v + a - 1) / a * a;
+}
+
+// Chain checks shared by the metadata reader, which stops walking at the
+// first failure, and the decoder, which diagnoses it.  `end` is where the
+// previous structure (superblock or record) ends: a record may not start
+// before it, so every walk moves forward and terminates.
+bool link_ok(std::uint64_t end, std::uint64_t pos, std::uint64_t fsize) {
+  return pos >= end && pos <= fsize && fsize - pos >= kRecordFixedSize;
+}
+bool header_fits(std::uint64_t pos, std::uint32_t hdrlen,
+                 std::uint64_t fsize) {
+  return hdrlen <= fsize - pos - kRecordFixedSize;
 }
 }  // namespace
 
@@ -164,47 +179,112 @@ void H5File::write_superblock() {
 }
 
 void H5File::scan() {
-  std::uint64_t fsize = pio_ ? pio_->size() : fs_->size(fd_);
-  if (fsize < kSuperblockSize) {
+  const std::uint64_t fsize = pio_ ? pio_->size() : fs_->size(fd_);
+  mpi::Bytes meta;
+  if (!parallel() || config_.comm->rank() == 0) meta = read_metadata(fsize);
+  if (parallel()) config_.comm->bcast(meta, 0);
+  decode_metadata(meta, fsize);
+}
+
+std::vector<std::byte> H5File::read_metadata(std::uint64_t fsize) {
+  std::vector<std::byte> meta(std::min(fsize, kSuperblockSize));
+  raw_read(0, meta);
+  if (meta.size() < kSuperblockSize) return meta;
+  ByteReader sr(meta);
+  if (sr.u32() != kMagic || sr.u32() != kVersion) return meta;
+  sr.skip(8);  // allocation end
+  std::uint64_t pos = sr.u64();
+  std::uint64_t end = kSuperblockSize;
+  while (pos != 0 && link_ok(end, pos, fsize)) {
+    std::vector<std::byte> rec(std::min(kSpeculativeRead, fsize - pos));
+    raw_read(pos, rec);
+    ByteReader fr(rec);
+    fr.skip(4);  // kind: the decoder checks it
+    const std::uint32_t hdrlen = fr.u32();
+    const std::uint64_t next = fr.u64();
+    // A header that would run past EOF is not read: the fixed part alone
+    // lets the decoder name the bad length.
+    const bool fits = header_fits(pos, hdrlen, fsize);
+    const std::size_t len = kRecordFixedSize + (fits ? hdrlen : 0);
+    if (len > rec.size()) {
+      const std::size_t have = rec.size();
+      rec.resize(len);
+      raw_read(pos + have, std::span(rec).subspan(have));
+    }
+    meta.insert(meta.end(), rec.begin(),
+                rec.begin() + static_cast<std::ptrdiff_t>(len));
+    if (!fits) break;
+    end = pos + len;
+    pos = next;
+  }
+  return meta;
+}
+
+void H5File::decode_metadata(std::span<const std::byte> meta,
+                             std::uint64_t fsize) {
+  if (meta.size() < kSuperblockSize) {
     throw FormatError(path_ + ": too short for a PH5 file");
   }
-  std::vector<std::byte> sb(kSuperblockSize);
-  raw_read(0, sb);
-  ByteReader sr(sb);
-  if (sr.u32() != kMagic) throw FormatError(path_ + ": bad PH5 magic");
-  if (sr.u32() != kVersion) throw FormatError(path_ + ": bad PH5 version");
-  alloc_end_ = sr.u64();
-  std::uint64_t pos = sr.u64();  // first record (0 = empty file)
-  while (pos != 0) {
-    std::vector<std::byte> fixed(kRecordFixedSize);
-    raw_read(pos, fixed);
-    ByteReader fr(fixed);
-    std::uint32_t kind = fr.u32();
-    std::uint32_t hdrlen = fr.u32();
-    std::uint64_t next = fr.u64();
-    std::vector<std::byte> hdr(hdrlen);
-    raw_read(pos + kRecordFixedSize, hdr);
-    ByteReader r(hdr);
-    if (kind == kKindDataset) {
-      DatasetInfo info;
-      info.name = r.str();
-      info.type = static_cast<NumberType>(r.u8());
-      std::uint32_t nd = r.u32();
-      for (std::uint32_t d = 0; d < nd; ++d) info.dims.push_back(r.u64());
-      info.data_addr = r.u64();
-      info.data_bytes = r.u64();
-      index_[info.name] = datasets_.size();
-      datasets_.push_back(std::move(info));
-    } else if (kind == kKindAttribute) {
-      std::string name = r.str();
-      std::uint64_t n = r.u64();
-      auto vspan = r.bytes(n);
+  ByteReader r(meta);
+  if (r.u32() != kMagic) throw FormatError(path_ + ": bad PH5 magic");
+  if (r.u32() != kVersion) throw FormatError(path_ + ": bad PH5 version");
+  r.skip(8);                    // allocation end: only writers need it
+  std::uint64_t pos = r.u64();  // first record (0 = empty file)
+  r.skip(8);                    // reserved
+  std::uint64_t at = 0;  // the superblock or record holding the link to pos
+  std::uint64_t end = kSuperblockSize;
+  auto fail = [&](std::uint64_t off, const std::string& what) {
+    throw FormatError(path_ + ": PH5 record at offset " + std::to_string(off) +
+                      ": " + what);
+  };
+  auto decode_header = [&](std::uint32_t kind, ByteReader& h) {
+    if (kind == kKindAttribute) {
+      std::string name = h.str();
+      auto vspan = h.bytes(h.u64());
       attributes_[name].assign(vspan.begin(), vspan.end());
-    } else {
-      throw FormatError(path_ + ": unknown PH5 record kind " +
-                        std::to_string(kind));
+      return;
     }
-    prev_record_next_field_ = pos + 8;
+    DatasetInfo info;
+    info.name = h.str();
+    const std::uint8_t type = h.u8();
+    if (type > static_cast<std::uint8_t>(NumberType::kInt64)) {
+      throw FormatError("bad number type " + std::to_string(type));
+    }
+    info.type = static_cast<NumberType>(type);
+    std::uint32_t nd = h.u32();
+    for (std::uint32_t d = 0; d < nd; ++d) info.dims.push_back(h.u64());
+    info.data_addr = h.u64();
+    info.data_bytes = h.u64();
+    index_[info.name] = datasets_.size();
+    datasets_.push_back(std::move(info));
+  };
+  while (pos != 0) {
+    if (!link_ok(end, pos, fsize)) {
+      fail(at, "next record " + std::to_string(pos) +
+                   (pos < end ? " does not move forward (ends at " +
+                                    std::to_string(end) + ")"
+                              : " runs past end of file (" +
+                                    std::to_string(fsize) + " bytes)"));
+    }
+    const std::uint32_t kind = r.u32();
+    const std::uint32_t hdrlen = r.u32();
+    const std::uint64_t next = r.u64();
+    if (kind != kKindDataset && kind != kKindAttribute) {
+      fail(pos, "unknown record kind " + std::to_string(kind));
+    }
+    if (!header_fits(pos, hdrlen, fsize)) {
+      fail(pos, "header length " + std::to_string(hdrlen) +
+                    " runs past end of file (" + std::to_string(fsize) +
+                    " bytes)");
+    }
+    ByteReader h(r.bytes(hdrlen));
+    try {
+      decode_header(kind, h);
+    } catch (const FormatError& e) {
+      fail(pos, e.what());  // a bad type byte or a header overrun
+    }
+    at = pos;
+    end = pos + kRecordFixedSize + hdrlen;
     pos = next;
   }
 }

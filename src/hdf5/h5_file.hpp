@@ -20,6 +20,12 @@
 //      step costs virtual CPU time.
 //   4. *Rank-0-only attributes*: attribute writes serialise through rank 0
 //      with a full synchronisation.
+//
+// Opening reads the metadata once per job, as HDF5 >= 1.10's collective
+// metadata read does: rank 0 walks the record chain with one speculative
+// 512 B read per record (a second read only for longer headers) and
+// broadcasts the bytes; every rank decodes them.  The 2002 release read the
+// chain on every rank; no paper figure measures that read path.
 #pragma once
 
 #include <cstdint>
@@ -78,6 +84,8 @@ class H5File {
  public:
   static H5File create(pfs::FileSystem& fs, const std::string& path,
                        FileConfig config = {});
+  /// Collective in parallel mode: rank 0 reads the metadata and broadcasts
+  /// it.  Throws FormatError on every rank for a malformed file.
   static H5File open(pfs::FileSystem& fs, const std::string& path,
                      FileConfig config = {});
 
@@ -134,7 +142,16 @@ class H5File {
                      std::span<const std::byte> data);
 
   void write_superblock();
+  /// Open-time metadata read: rank 0 (or the serial opener) walks the
+  /// record chain, a parallel open broadcasts the bytes, and every rank
+  /// decodes them.
   void scan();
+  /// The superblock, then each record's fixed part and header, in chain
+  /// order; stops at the first record that fails a chain check.
+  std::vector<std::byte> read_metadata(std::uint64_t fsize);
+  /// Pure decoder over read_metadata's bytes; throws FormatError naming the
+  /// path and offset of the first malformed structure.
+  void decode_metadata(std::span<const std::byte> meta, std::uint64_t fsize);
   std::uint64_t append_record(std::uint32_t kind,
                               std::span<const std::byte> header,
                               std::uint64_t data_bytes,

@@ -13,6 +13,19 @@ constexpr std::uint32_t kVersion = 1;
 std::uint64_t align_up(std::uint64_t v, std::uint64_t a) {
   return a <= 1 ? v : (v + a - 1) / a * a;
 }
+
+/// The header length from the fixed prefix, checked against the file size
+/// before anything is sized from it.
+std::uint32_t checked_header_bytes(std::uint32_t header_bytes,
+                                   std::uint64_t file_size,
+                                   const std::string& path) {
+  if (8 + std::uint64_t{header_bytes} > file_size) {
+    throw FormatError(path + ": header length " +
+                      std::to_string(header_bytes) + " at offset 4 runs past "
+                      "end of file (" + std::to_string(file_size) + " bytes)");
+  }
+  return header_bytes;
+}
 }  // namespace
 
 std::uint64_t type_size(NcType t) {
@@ -57,8 +70,7 @@ NcFile NcFile::open(mpi::Comm& comm, pfs::FileSystem& fs,
     f.file_->read_at(0, fixed);
     ByteReader r(fixed);
     if (r.u32() != kMagic) throw FormatError(path + ": not a PNC file");
-    std::uint32_t header_bytes = r.u32();
-    header.resize(header_bytes);
+    header.resize(checked_header_bytes(r.u32(), f.file_->size(), path));
     f.file_->read_at(8, header);
   }
   comm.bcast(header, 0);
@@ -177,8 +189,13 @@ NcHeader read_nc_header(pfs::FileSystem& fs, const std::string& path) {
     fs.close(fd);
     throw FormatError(path + ": not a PNC file");
   }
-  std::uint32_t header_bytes = r.u32();
-  std::vector<std::byte> blob(header_bytes);
+  std::vector<std::byte> blob;
+  try {
+    blob.resize(checked_header_bytes(r.u32(), fs.size(fd), path));
+  } catch (const FormatError&) {
+    fs.close(fd);
+    throw;
+  }
   fs.read_at(fd, 8, blob);
   fs.close(fd);
   return parse_nc_header(blob);

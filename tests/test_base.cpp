@@ -131,6 +131,9 @@ TEST(ByteIo, ReaderOverrunThrowsFormatError) {
   ByteReader r(buf);
   r.u32();
   EXPECT_THROW(r.u8(), FormatError);
+  // A length large enough to wrap offset + length is an overrun too.
+  EXPECT_THROW(r.bytes(~std::size_t{0}), FormatError);
+  EXPECT_THROW(r.skip(~std::size_t{0}), FormatError);
 }
 
 TEST(ByteIo, StringOverrunThrows) {

@@ -2,7 +2,9 @@
 // serial and parallel drivers, and the four modelled overhead sources.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 
 #include "hdf5/h5_file.hpp"
 #include "pfs/local_fs.hpp"
@@ -466,6 +468,246 @@ TEST(H5Interop, SerialWriteParallelRead) {
     d.close();
     f.close();
   });
+}
+
+// ---------------------------------------------------------------------------
+// Open-time metadata read: malformed chains, one read per job
+// ---------------------------------------------------------------------------
+
+std::uint64_t load_le(const std::vector<std::byte>& b, std::uint64_t off,
+                      int n) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < n; ++i) {
+    v |= std::uint64_t{static_cast<std::uint8_t>(b[off + i])} << (8 * i);
+  }
+  return v;
+}
+
+void store_le(std::vector<std::byte>& b, std::uint64_t off, std::uint64_t v,
+              int n) {
+  for (int i = 0; i < n; ++i) {
+    b[off + i] = static_cast<std::byte>(v >> (8 * i));
+  }
+}
+
+/// A serially written file: an attribute whose header is longer than one
+/// speculative read, four datasets, then a short attribute.
+void write_golden(pfs::FileSystem& fs, const std::string& path) {
+  sim::Engine::Options o;
+  o.nprocs = 1;
+  sim::Engine::run(o, [&](sim::Proc&) {
+    H5File f = H5File::create(fs, path);
+    f.write_attribute("big", std::vector<std::byte>(1000, std::byte{7}));
+    for (int i = 0; i < 4; ++i) {
+      Dataset d = f.create_dataset("ds" + std::to_string(i),
+                                   NumberType::kFloat64, Dataspace({8}));
+      d.write_all(seq_f64(8, i * 10.0));
+      d.close();
+    }
+    double t = 1.5;
+    f.write_attribute("time", std::as_bytes(std::span(&t, 1)));
+    f.close();
+  });
+}
+
+/// Record offsets in chain order, read straight from the stored bytes.
+std::vector<std::uint64_t> record_offsets(const std::vector<std::byte>& b) {
+  std::vector<std::uint64_t> recs;
+  for (std::uint64_t pos = load_le(b, 16, 8); pos != 0;
+       pos = load_le(b, pos + 8, 8)) {
+    recs.push_back(pos);
+  }
+  return recs;
+}
+
+/// The FormatError message an open throws, or "" when it succeeds.
+std::string open_error(pfs::FileSystem& fs, const std::string& path,
+                       FileConfig cfg = {}) {
+  try {
+    H5File f = H5File::open(fs, path, cfg);
+  } catch (const FormatError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+struct ChainDefect {
+  std::string name;
+  /// Mutates the golden bytes; returns the offset the diagnosis must name.
+  std::uint64_t (*mutate)(std::vector<std::byte>& b,
+                          const std::vector<std::uint64_t>& recs);
+};
+
+void PrintTo(const ChainDefect& d, std::ostream* os) { *os << d.name; }
+
+class H5MalformedChain : public ::testing::TestWithParam<ChainDefect> {};
+
+TEST_P(H5MalformedChain, SerialAndParallelOpensDiagnoseIt) {
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  const std::string path = "bad.h5";
+  write_golden(fs, path);
+  std::vector<std::byte> bytes(fs.store().size(path));
+  fs.store().read_at(path, 0, bytes);
+  const auto recs = record_offsets(bytes);
+  ASSERT_EQ(recs.size(), 6u);
+  const std::uint64_t off = GetParam().mutate(bytes, recs);
+  fs.store().create(path);
+  fs.store().write_at(path, 0, bytes);
+
+  const std::string where = "offset " + std::to_string(off) + ":";
+  sim::Engine::Options o;
+  o.nprocs = 1;
+  std::string serial;
+  sim::Engine::run(o, [&](sim::Proc&) { serial = open_error(fs, path); });
+  EXPECT_NE(serial.find(path), std::string::npos) << serial;
+  EXPECT_NE(serial.find(where), std::string::npos) << serial;
+
+  // Only rank 0 reads the chain, yet every rank must end with the same
+  // diagnosis rather than hang in the broadcast.
+  std::vector<std::string> parallel(4);
+  Runtime rt(rparams(4));
+  rt.run([&](Comm& c) {
+    FileConfig cfg;
+    cfg.comm = &c;
+    parallel[static_cast<std::size_t>(c.rank())] = open_error(fs, path, cfg);
+  });
+  for (const std::string& e : parallel) EXPECT_EQ(e, serial);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Defects, H5MalformedChain,
+    ::testing::Values(
+        ChainDefect{"TruncatedMidHeader",
+                    [](std::vector<std::byte>& b,
+                       const std::vector<std::uint64_t>& r) {
+                      b.resize(r[2] + 16 + 3);
+                      return r[2];
+                    }},
+        ChainDefect{"TruncatedMidFixedPart",
+                    [](std::vector<std::byte>& b,
+                       const std::vector<std::uint64_t>& r) {
+                      b.resize(r[2] + 8);
+                      return r[1];  // the record whose link leaves the file
+                    }},
+        ChainDefect{"BackwardNext",
+                    [](std::vector<std::byte>& b,
+                       const std::vector<std::uint64_t>& r) {
+                      store_le(b, r[3] + 8, r[1], 8);
+                      return r[3];
+                    }},
+        ChainDefect{"SelfLoop",
+                    [](std::vector<std::byte>& b,
+                       const std::vector<std::uint64_t>& r) {
+                      store_le(b, r[2] + 8, r[2], 8);
+                      return r[2];
+                    }},
+        ChainDefect{"InflatedHeaderLength",
+                    [](std::vector<std::byte>& b,
+                       const std::vector<std::uint64_t>& r) {
+                      store_le(b, r[1] + 4, 0xFFFFFFF0u, 4);
+                      return r[1];
+                    }},
+        ChainDefect{"BadTypeByte",
+                    [](std::vector<std::byte>& b,
+                       const std::vector<std::uint64_t>& r) {
+                      // Dataset header: name (u32 length + bytes), type u8.
+                      std::uint64_t name_len = load_le(b, r[1] + 16, 4);
+                      store_le(b, r[1] + 16 + 4 + name_len, 9, 1);
+                      return r[1];
+                    }},
+        ChainDefect{"InflatedAttributeLength",
+                    [](std::vector<std::byte>& b,
+                       const std::vector<std::uint64_t>& r) {
+                      // Attribute header: name, then the u64 value length;
+                      // this one wraps a naive end-of-value computation.
+                      std::uint64_t name_len = load_le(b, r[0] + 16, 4);
+                      store_le(b, r[0] + 16 + 4 + name_len, ~std::uint64_t{7},
+                               8);
+                      return r[0];
+                    }},
+        ChainDefect{"BadKind",
+                    [](std::vector<std::byte>& b,
+                       const std::vector<std::uint64_t>& r) {
+                      store_le(b, r[2], 7, 4);
+                      return r[2];
+                    }}),
+    [](const ::testing::TestParamInfo<ChainDefect>& info) {
+      return info.param.name;
+    });
+
+/// Counts the read requests each rank issues.
+class ReadCounter : public pfs::IoObserver {
+ public:
+  void on_io(double, int rank, bool is_write, const std::string&,
+             std::uint64_t, std::uint64_t, int) override {
+    if (!is_write) ++reads[rank];
+  }
+  std::map<int, std::uint64_t> reads;
+};
+
+/// Every decoded dataset and attribute of an open file, rendered.
+std::string tables_of(H5File& f) {
+  std::string s;
+  for (const std::string& name : f.dataset_names()) {
+    const DatasetInfo& i = f.open_dataset(name).info();
+    s += name + " type " + std::to_string(static_cast<int>(i.type)) + " @" +
+         std::to_string(i.data_addr) + "+" + std::to_string(i.data_bytes) +
+         " dims";
+    for (auto d : i.dims) s += " " + std::to_string(d);
+    s += "\n";
+  }
+  for (const char* name : {"big", "time"}) {
+    auto v = f.read_attribute(name);
+    s += std::string(name) + "=" +
+         std::string(reinterpret_cast<const char*>(v.data()), v.size()) + "\n";
+  }
+  return s;
+}
+
+TEST(H5Open, ParallelOpenReadsMetadataOnce) {
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  write_golden(fs, "once.h5");
+  std::string serial;
+  sim::Engine::Options o;
+  o.nprocs = 1;
+  sim::Engine::run(o, [&](sim::Proc&) {
+    H5File f = H5File::open(fs, "once.h5");
+    serial = tables_of(f);
+    f.close();
+  });
+  ASSERT_EQ(std::count(serial.begin(), serial.end(), '\n'), 6);
+
+  std::uint64_t one_rank_reads = 0;
+  for (int p : {1, 2, 4, 8}) {
+    ReadCounter counter;
+    fs.attach_observer(&counter);
+    std::vector<std::string> tables(static_cast<std::size_t>(p));
+    Runtime rt(rparams(p));
+    rt.run([&](Comm& c) {
+      FileConfig cfg;
+      cfg.comm = &c;
+      H5File f = H5File::open(fs, "once.h5", cfg);
+      tables[static_cast<std::size_t>(c.rank())] = tables_of(f);
+      f.close();
+    });
+    fs.attach_observer(nullptr);
+
+    std::uint64_t total = 0;
+    for (const auto& [rank, n] : counter.reads) {
+      total += n;
+      if (rank != 0) {
+        EXPECT_EQ(n, 0u) << "rank " << rank << " of " << p;
+      }
+    }
+    // Superblock, one speculative read per record, and a second read for
+    // the one header longer than the speculative read.
+    if (p == 1) {
+      one_rank_reads = total;
+      EXPECT_EQ(total, 1u + 6u + 1u);
+    }
+    EXPECT_EQ(total, one_rank_reads) << p << " ranks";
+    for (const std::string& t : tables) EXPECT_EQ(t, serial) << p << " ranks";
+  }
 }
 
 }  // namespace

@@ -216,6 +216,40 @@ TEST(NcFile, ValidationErrors) {
   });
 }
 
+TEST(NcFile, TruncatedHeaderIsRejectedBeforeAllocation) {
+  // Cut the file inside its header: the u32 header length at offset 4 now
+  // runs past the end of the file, and both readers must say so instead of
+  // sizing a buffer from it.
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  Runtime rt(rparams(2));
+  rt.run([&](Comm& c) {
+    NcFile nc = NcFile::create(c, fs, "t.nc");
+    int d = nc.def_dim("n", 8);
+    nc.def_var("x", NcType::kFloat, {d});
+    nc.enddef();
+    nc.close();
+  });
+  stor::ObjectStore& store = fs.store();
+  std::vector<std::byte> bytes(store.size("t.nc"));
+  store.read_at("t.nc", 0, bytes);
+  std::uint32_t header_bytes = 0;
+  for (int i = 0; i < 4; ++i) {
+    header_bytes |= std::uint32_t{static_cast<std::uint8_t>(bytes[4 + i])}
+                    << (8 * i);
+  }
+  bytes.resize(8 + header_bytes / 2);
+  store.create("t.nc");
+  store.write_at("t.nc", 0, bytes);
+
+  Runtime one(rparams(1));
+  one.run([&](Comm&) {
+    EXPECT_THROW(read_nc_header(fs, "t.nc"), FormatError);
+  });
+  // Rank 0 reads the header for the whole job; its error ends the run.
+  EXPECT_THROW(rt.run([&](Comm& c) { NcFile::open(c, fs, "t.nc"); }),
+               FormatError);
+}
+
 TEST(NcFile, SingleSynchronisationPerDefinePhase) {
   // Creating many variables must NOT scale synchronisation like HDF5's
   // per-dataset create/close: time the define phase of 64 variables and
