@@ -1,7 +1,7 @@
 // Original ENZO I/O: serial HDF4-style access through processor 0 for the
 // top-grid (gather + sort + sequential write; read + scatter), with each
 // processor writing/reading subgrid files itself.
-#include <cstdio>
+#include <optional>
 
 #include "amr/particles_par.hpp"
 #include "enzo/backends.hpp"
@@ -14,13 +14,6 @@
 namespace paramrio::enzo {
 
 namespace {
-
-std::string grid_file_name(const std::string& base, std::uint64_t id) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, ".grid%06llu",
-                static_cast<unsigned long long>(id));
-  return base + buf;
-}
 
 hdf4::NumberType particle_number_type(std::size_t array_idx) {
   if (array_idx == 0) return hdf4::NumberType::kInt64;
@@ -130,10 +123,43 @@ DumpMeta read_meta(mpi::Comm& comm, const hdf4::SdFile* top) {
   return DumpMeta::deserialize(blob);
 }
 
+/// The part read_initial and read_restart share: rank 0 opens the top-grid
+/// file, reads the metadata (broadcast to all), the full top-grid fields
+/// and all particles, and scatters (Block,Block,Block) pieces and each
+/// rank's position-partitioned particles.
+DumpMeta read_topgrid(mpi::Comm& comm, SimulationState& state,
+                      pfs::FileSystem& fs, const std::string& base) {
+  std::optional<hdf4::SdFile> top;
+  if (comm.rank() == 0) top = hdf4::SdFile::open(fs, base + ".topgrid");
+  DumpMeta meta = read_meta(comm, top ? &*top : nullptr);
+
+  std::vector<amr::Array3f> full;
+  {
+    OBS_SPAN("hdf4.topgrid_read", sim::TimeCategory::kIo);
+    if (comm.rank() == 0) {
+      const auto& dims = state.config.root_dims;
+      for (int f = 0; f < amr::kNumBaryonFields; ++f) {
+        auto u = static_cast<std::size_t>(f);
+        amr::Array3f whole(dims[0], dims[1], dims[2]);
+        top->read_dataset(amr::baryon_field_names()[u], whole.mutable_bytes());
+        full.push_back(std::move(whole));
+      }
+    }
+  }
+  OBS_SPAN("hdf4.scatter", sim::TimeCategory::kComm);
+  auto fields = scatter_topgrid_fields(comm, state, full);
+  auto particles = scatter_particles(comm, state, top ? &*top : nullptr,
+                                     meta.n_particles);
+  if (comm.rank() == 0) top->close();
+  install_topgrid(state, meta, std::move(fields), std::move(particles));
+  return meta;
+}
+
 void write_subgrid_files(const SimulationState& state, pfs::FileSystem& fs,
                          const std::string& base) {
   for (const amr::Grid& g : state.my_subgrids) {
-    hdf4::SdFile f = hdf4::SdFile::create(fs, grid_file_name(base, g.desc.id));
+    hdf4::SdFile f =
+        hdf4::SdFile::create(fs, subgrid_file_name(base, g.desc.id));
     for (int fi = 0; fi < amr::kNumBaryonFields; ++fi) {
       auto u = static_cast<std::size_t>(fi);
       f.write_dataset(amr::baryon_field_names()[u], hdf4::NumberType::kFloat32,
@@ -149,7 +175,7 @@ amr::Grid read_whole_subgrid(pfs::FileSystem& fs, const std::string& base,
   amr::Grid g;
   g.desc = desc;
   g.allocate_fields();
-  hdf4::SdFile f = hdf4::SdFile::open(fs, grid_file_name(base, desc.id));
+  hdf4::SdFile f = hdf4::SdFile::open(fs, subgrid_file_name(base, desc.id));
   for (int fi = 0; fi < amr::kNumBaryonFields; ++fi) {
     auto u = static_cast<std::size_t>(fi);
     f.read_dataset(amr::baryon_field_names()[u], g.fields[u].mutable_bytes());
@@ -251,32 +277,7 @@ void Hdf4SerialBackend::write_dump(mpi::Comm& comm,
 
 void Hdf4SerialBackend::read_initial(mpi::Comm& comm, SimulationState& state,
                                      const std::string& base) {
-  std::optional<hdf4::SdFile> top;
-  if (comm.rank() == 0) top = hdf4::SdFile::open(fs_, base + ".topgrid");
-  DumpMeta meta = read_meta(comm, top ? &*top : nullptr);
-
-  // Top-grid fields: rank 0 reads, partitions, scatters each one.
-  std::vector<amr::Array3f> full;
-  {
-    OBS_SPAN("hdf4.topgrid_read", sim::TimeCategory::kIo);
-    if (comm.rank() == 0) {
-      const auto& dims = state.config.root_dims;
-      for (int f = 0; f < amr::kNumBaryonFields; ++f) {
-        auto u = static_cast<std::size_t>(f);
-        amr::Array3f whole(dims[0], dims[1], dims[2]);
-        top->read_dataset(amr::baryon_field_names()[u], whole.mutable_bytes());
-        full.push_back(std::move(whole));
-      }
-    }
-  }
-  {
-    OBS_SPAN("hdf4.scatter", sim::TimeCategory::kComm);
-    auto fields = scatter_topgrid_fields(comm, state, full);
-    auto particles = scatter_particles(comm, state, top ? &*top : nullptr,
-                                       meta.n_particles);
-    if (comm.rank() == 0) top->close();
-    install_topgrid(state, meta, std::move(fields), std::move(particles));
-  }
+  const DumpMeta meta = read_topgrid(comm, state, fs_, base);
 
   // Subgrids: rank 0 reads each file and scatters (Block,Block,Block)
   // pieces of every field to all ranks.
@@ -324,46 +325,13 @@ void Hdf4SerialBackend::read_initial(mpi::Comm& comm, SimulationState& state,
 
 void Hdf4SerialBackend::read_restart(mpi::Comm& comm, SimulationState& state,
                                      const std::string& base) {
-  std::optional<hdf4::SdFile> top;
-  if (comm.rank() == 0) top = hdf4::SdFile::open(fs_, base + ".topgrid");
-  DumpMeta meta = read_meta(comm, top ? &*top : nullptr);
+  const DumpMeta meta = read_topgrid(comm, state, fs_, base);
 
-  std::vector<amr::Array3f> full;
-  {
-    OBS_SPAN("hdf4.topgrid_read", sim::TimeCategory::kIo);
-    if (comm.rank() == 0) {
-      const auto& dims = state.config.root_dims;
-      for (int f = 0; f < amr::kNumBaryonFields; ++f) {
-        auto u = static_cast<std::size_t>(f);
-        amr::Array3f whole(dims[0], dims[1], dims[2]);
-        top->read_dataset(amr::baryon_field_names()[u], whole.mutable_bytes());
-        full.push_back(std::move(whole));
-      }
-    }
-  }
-  {
-    OBS_SPAN("hdf4.scatter", sim::TimeCategory::kComm);
-    auto fields = scatter_topgrid_fields(comm, state, full);
-    auto particles = scatter_particles(comm, state, top ? &*top : nullptr,
-                                       meta.n_particles);
-    if (comm.rank() == 0) top->close();
-    install_topgrid(state, meta, std::move(fields), std::move(particles));
-  }
-
-  // Subgrids round-robin: grid i is read whole by rank i % P.
+  // Subgrids round-robin: each is read whole by its owner.
   OBS_SPAN("hdf4.subgrid_read", sim::TimeCategory::kIo);
-  state.hierarchy = meta.hierarchy;
-  state.my_subgrids.clear();
-  int i = 0;
-  for (const amr::GridDescriptor& g : meta.hierarchy.grids()) {
-    if (g.level == 0) continue;
-    int owner = i % comm.size();
-    state.hierarchy.grid_mut(g.id).owner = owner;
-    if (owner == comm.rank()) {
-      state.my_subgrids.push_back(read_whole_subgrid(fs_, base, g));
-      state.my_subgrids.back().desc.owner = owner;
-    }
-    ++i;
+  for (const amr::GridDescriptor& g :
+       assign_restart_owners(comm, state, meta.hierarchy)) {
+    state.my_subgrids.push_back(read_whole_subgrid(fs_, base, g));
   }
   comm.barrier();
 }

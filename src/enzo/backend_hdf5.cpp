@@ -3,7 +3,6 @@
 // thereby paying the library's metadata-synchronisation, allocation-
 // alignment, hyperslab-packing and attribute-serialisation overheads that
 // the paper measures in Figure 10.
-#include <cstdio>
 #include <optional>
 
 #include "amr/particles_par.hpp"
@@ -14,13 +13,6 @@
 namespace paramrio::enzo {
 
 namespace {
-
-std::string subgrid_ds_name(std::uint64_t id, const std::string& field) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "grid%06llu/",
-                static_cast<unsigned long long>(id));
-  return buf + field;
-}
 
 hdf5::NumberType particle_number_type(std::size_t array_idx) {
   if (array_idx == 0) return hdf5::NumberType::kInt64;
@@ -44,6 +36,53 @@ hdf5::H5File open_dump(pfs::FileSystem& fs, const std::string& path,
                        const hdf5::FileConfig& cfg) {
   OBS_SPAN("hdf5_dump.open", sim::TimeCategory::kIo);
   return hdf5::H5File::open(fs, path, cfg);
+}
+
+/// The part read_initial and read_restart share: collective hyperslab
+/// reads of this rank's top-grid block, block-wise particle slices (every
+/// rank opens and closes every particle dataset, even with an empty slice)
+/// and their redistribution by position.
+DumpMeta read_topgrid(hdf5::H5File& h, mpi::Comm& comm,
+                      SimulationState& state) {
+  DumpMeta meta = DumpMeta::deserialize(h.read_attribute("metadata"));
+  OBS_SPAN("hdf5_dump.field_read", sim::TimeCategory::kIo);
+  const auto& dims = state.config.root_dims;
+  std::vector<amr::Array3f> fields;
+  const amr::BlockExtent& e = state.my_block;
+  for (int fi = 0; fi < amr::kNumBaryonFields; ++fi) {
+    auto u = static_cast<std::size_t>(fi);
+    hdf5::Dataset d =
+        h.open_dataset("topgrid/" + amr::baryon_field_names()[u]);
+    amr::Array3f blk(e.count[0], e.count[1], e.count[2]);
+    d.read(block_selection(dims, e), blk.mutable_bytes(),
+           /*collective=*/true);
+    d.close();
+    fields.push_back(std::move(blk));
+  }
+
+  amr::ParticleSet particles;
+  if (meta.n_particles > 0) {
+    auto [first, count] =
+        amr::block_range(meta.n_particles, comm.size(), comm.rank());
+    amr::ParticleSet slice;
+    slice.resize(count);
+    for (std::size_t a = 0; a < kNumParticleArrays; ++a) {
+      hdf5::Dataset d =
+          h.open_dataset(std::string("topgrid/") + kParticleArrays[a].name);
+      if (count > 0) {
+        std::vector<std::byte> buf(count * kParticleArrays[a].elem_size);
+        hdf5::Dataspace sel({meta.n_particles});
+        sel.select_block({first}, {count});
+        d.read(sel, buf, /*collective=*/false);
+        particle_array_from_bytes(slice, a, count, buf.data());
+      }
+      d.close();
+    }
+    particles = amr::redistribute_by_position(
+        comm, slice, state.config.root_dims, state.proc_grid);
+  }
+  install_topgrid(state, meta, std::move(fields), std::move(particles));
+  return meta;
 }
 
 }  // namespace
@@ -87,31 +126,22 @@ void Hdf5ParallelBackend::write_dump(mpi::Comm& comm,
 
   // ---- particles: parallel sort, then block-wise non-collective writes ---
   if (meta.n_particles > 0) {
-    amr::ParticleSet sorted;
-    std::uint64_t first = 0;
+    SortedParticles sorted;
     {
       OBS_SPAN("hdf5_dump.particle_sort", sim::TimeCategory::kComm);
-      sorted = amr::parallel_sort_by_id(comm, state.my_particles);
-      std::uint64_t my_count = sorted.size();
-      auto counts_raw =
-          comm.allgatherv(std::as_bytes(std::span(&my_count, 1)));
-      for (int r = 0; r < comm.rank(); ++r) {
-        std::uint64_t c;
-        std::memcpy(&c, counts_raw[static_cast<std::size_t>(r)].data(), 8);
-        first += c;
-      }
+      sorted = sort_particles_for_dump(comm, state.my_particles);
     }
     OBS_SPAN("hdf5_dump.particle_write", sim::TimeCategory::kIo);
-    const std::uint64_t my_count = sorted.size();
+    const std::uint64_t my_count = sorted.set.size();
     for (std::size_t a = 0; a < kNumParticleArrays; ++a) {
       hdf5::Dataset d = h->create_dataset(
           std::string("topgrid/") + kParticleArrays[a].name,
           particle_number_type(a), hdf5::Dataspace({meta.n_particles}));
       if (my_count > 0) {
         std::vector<std::byte> buf(my_count * kParticleArrays[a].elem_size);
-        particle_array_to_bytes(sorted, a, 0, my_count, buf.data());
+        particle_array_to_bytes(sorted.set, a, 0, my_count, buf.data());
         hdf5::Dataspace sel({meta.n_particles});
-        sel.select_block({first}, {my_count});
+        sel.select_block({sorted.first}, {my_count});
         d.write(sel, buf, /*collective=*/false);
       }
       d.close();
@@ -131,7 +161,7 @@ void Hdf5ParallelBackend::write_dump(mpi::Comm& comm,
       for (int fi = 0; fi < amr::kNumBaryonFields; ++fi) {
         auto u = static_cast<std::size_t>(fi);
         hdf5::Dataset d = h->create_dataset(
-            subgrid_ds_name(g.id, amr::baryon_field_names()[u]),
+            subgrid_group(g.id) + amr::baryon_field_names()[u],
             hdf5::NumberType::kFloat32,
             hdf5::Dataspace({g.dims[0], g.dims[1], g.dims[2]}));
         if (mine != nullptr) {
@@ -151,82 +181,28 @@ void Hdf5ParallelBackend::read_initial(mpi::Comm& comm,
   hdf5::FileConfig cfg = config_;
   cfg.comm = &comm;
   hdf5::H5File h = open_dump(fs_, base + ".h5", cfg);
-  DumpMeta meta = DumpMeta::deserialize(h.read_attribute("metadata"));
+  const DumpMeta meta = read_topgrid(h, comm, state);
 
-  {
-    OBS_SPAN("hdf5_dump.field_read", sim::TimeCategory::kIo);
-    // Top-grid fields: collective hyperslab reads of my block.
-    const auto& dims = state.config.root_dims;
-    std::vector<amr::Array3f> fields;
-    const amr::BlockExtent& e = state.my_block;
-    for (int fi = 0; fi < amr::kNumBaryonFields; ++fi) {
-      auto u = static_cast<std::size_t>(fi);
-      hdf5::Dataset d =
-          h.open_dataset("topgrid/" + amr::baryon_field_names()[u]);
-      amr::Array3f blk(e.count[0], e.count[1], e.count[2]);
-      d.read(block_selection(dims, e), blk.mutable_bytes(),
-             /*collective=*/true);
-      d.close();
-      fields.push_back(std::move(blk));
-    }
-
-    // Particles: block-wise slice reads, then redistribution by position.
-    amr::ParticleSet particles;
-    if (meta.n_particles > 0) {
-      auto [first, count] =
-          amr::block_range(meta.n_particles, comm.size(), comm.rank());
-      amr::ParticleSet slice;
-      slice.resize(count);
-      for (std::size_t a = 0; a < kNumParticleArrays; ++a) {
-        hdf5::Dataset d =
-            h.open_dataset(std::string("topgrid/") + kParticleArrays[a].name);
-        if (count > 0) {
-          std::vector<std::byte> buf(count * kParticleArrays[a].elem_size);
-          hdf5::Dataspace sel({meta.n_particles});
-          sel.select_block({first}, {count});
-          d.read(sel, buf, /*collective=*/false);
-          particle_array_from_bytes(slice, a, count, buf.data());
-        }
-        d.close();
-      }
-      particles = amr::redistribute_by_position(
-          comm, slice, state.config.root_dims, state.proc_grid);
-    }
-    install_topgrid(state, meta, std::move(fields), std::move(particles));
-  }
-
-  // Initial subgrids: every grid partitioned with collective reads.
+  // Initial subgrids: every grid partitioned with collective reads; ranks
+  // without a piece join with an empty selection (H5Sselect_none).
   OBS_SPAN("hdf5_dump.subgrid_read", sim::TimeCategory::kIo);
-  std::vector<amr::Grid> my_pieces;
-  for (const amr::GridDescriptor& g : meta.hierarchy.grids()) {
-    if (g.level == 0) continue;
-    // Small subgrids split over fewer ranks; the rest join the collective
-    // transfer with an empty selection (H5Sselect_none).
-    std::array<int, 3> pg = bounded_proc_grid(g, comm.size());
-    const bool participate = comm.rank() < piece_count(pg);
-    amr::Grid piece;
-    if (participate) piece.desc = piece_descriptor(g, pg, comm.rank());
-    for (int fi = 0; fi < amr::kNumBaryonFields; ++fi) {
-      auto u = static_cast<std::size_t>(fi);
-      hdf5::Dataset d =
-          h.open_dataset(subgrid_ds_name(g.id, amr::baryon_field_names()[u]));
-      if (participate) {
-        amr::BlockExtent pe = amr::block_of(g.dims, pg, comm.rank());
-        amr::Array3f blk(pe.count[0], pe.count[1], pe.count[2]);
-        d.read(block_selection(g.dims, pe), blk.mutable_bytes(),
-               /*collective=*/true);
-        piece.fields.push_back(std::move(blk));
-      } else {
-        hdf5::Dataspace none({g.dims[0], g.dims[1], g.dims[2]});
-        none.select_none();
-        d.read(none, {}, /*collective=*/true);
-      }
-      d.close();
-    }
-    if (participate) my_pieces.push_back(std::move(piece));
-  }
+  read_partitioned_subgrids(
+      comm, state, meta,
+      [&](const amr::GridDescriptor& g, int f, const amr::BlockExtent* e,
+          std::span<std::byte> out) {
+        hdf5::Dataset d = h.open_dataset(
+            subgrid_group(g.id) +
+            amr::baryon_field_names()[static_cast<std::size_t>(f)]);
+        hdf5::Dataspace sel({g.dims[0], g.dims[1], g.dims[2]});
+        if (e != nullptr) {
+          sel = block_selection(g.dims, *e);
+        } else {
+          sel.select_none();
+        }
+        d.read(sel, out, /*collective=*/true);
+        d.close();
+      });
   h.close();
-  install_partitioned_hierarchy(comm, state, meta, std::move(my_pieces));
 }
 
 void Hdf5ParallelBackend::read_restart(mpi::Comm& comm,
@@ -235,72 +211,23 @@ void Hdf5ParallelBackend::read_restart(mpi::Comm& comm,
   hdf5::FileConfig cfg = config_;
   cfg.comm = &comm;
   hdf5::H5File h = open_dump(fs_, base + ".h5", cfg);
-  DumpMeta meta = DumpMeta::deserialize(h.read_attribute("metadata"));
-
-  {
-    OBS_SPAN("hdf5_dump.field_read", sim::TimeCategory::kIo);
-    const auto& dims = state.config.root_dims;
-    std::vector<amr::Array3f> fields;
-    const amr::BlockExtent& e = state.my_block;
-    for (int fi = 0; fi < amr::kNumBaryonFields; ++fi) {
-      auto u = static_cast<std::size_t>(fi);
-      hdf5::Dataset d =
-          h.open_dataset("topgrid/" + amr::baryon_field_names()[u]);
-      amr::Array3f blk(e.count[0], e.count[1], e.count[2]);
-      d.read(block_selection(dims, e), blk.mutable_bytes(),
-             /*collective=*/true);
-      d.close();
-      fields.push_back(std::move(blk));
-    }
-
-    amr::ParticleSet particles;
-    if (meta.n_particles > 0) {
-      auto [first, count] =
-          amr::block_range(meta.n_particles, comm.size(), comm.rank());
-      amr::ParticleSet slice;
-      slice.resize(count);
-      for (std::size_t a = 0; a < kNumParticleArrays; ++a) {
-        hdf5::Dataset d =
-            h.open_dataset(std::string("topgrid/") + kParticleArrays[a].name);
-        if (count > 0) {
-          std::vector<std::byte> buf(count * kParticleArrays[a].elem_size);
-          hdf5::Dataspace sel({meta.n_particles});
-          sel.select_block({first}, {count});
-          d.read(sel, buf, /*collective=*/false);
-          particle_array_from_bytes(slice, a, count, buf.data());
-        }
-        d.close();
-      }
-      particles = amr::redistribute_by_position(
-          comm, slice, state.config.root_dims, state.proc_grid);
-    }
-    install_topgrid(state, meta, std::move(fields), std::move(particles));
-  }
+  const DumpMeta meta = read_topgrid(h, comm, state);
 
   // Subgrids round-robin, whole-grid independent reads by their owner.
   OBS_SPAN("hdf5_dump.subgrid_read", sim::TimeCategory::kIo);
-  state.hierarchy = meta.hierarchy;
-  state.my_subgrids.clear();
-  int i = 0;
-  for (const amr::GridDescriptor& g : meta.hierarchy.grids()) {
-    if (g.level == 0) continue;
-    int owner = i % comm.size();
-    state.hierarchy.grid_mut(g.id).owner = owner;
-    if (owner == comm.rank()) {
-      amr::Grid grid;
-      grid.desc = g;
-      grid.desc.owner = owner;
-      grid.allocate_fields();
-      for (int fi = 0; fi < amr::kNumBaryonFields; ++fi) {
-        auto u = static_cast<std::size_t>(fi);
-        hdf5::Dataset d = h.open_dataset(
-            subgrid_ds_name(g.id, amr::baryon_field_names()[u]));
-        d.read_all(grid.fields[u].mutable_bytes(), /*collective=*/false);
-        d.close();
-      }
-      state.my_subgrids.push_back(std::move(grid));
+  for (const amr::GridDescriptor& g :
+       assign_restart_owners(comm, state, meta.hierarchy)) {
+    amr::Grid grid;
+    grid.desc = g;
+    grid.allocate_fields();
+    for (int fi = 0; fi < amr::kNumBaryonFields; ++fi) {
+      auto u = static_cast<std::size_t>(fi);
+      hdf5::Dataset d = h.open_dataset(subgrid_group(g.id) +
+                                       amr::baryon_field_names()[u]);
+      d.read_all(grid.fields[u].mutable_bytes(), /*collective=*/false);
+      d.close();
     }
-    ++i;
+    state.my_subgrids.push_back(std::move(grid));
   }
   h.close();
 }

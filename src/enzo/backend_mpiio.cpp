@@ -9,21 +9,11 @@
 #include "amr/particles_par.hpp"
 #include "enzo/backends.hpp"
 #include "enzo/dump_common.hpp"
-#include "enzo/mpiio_layout.hpp"
 #include "obs/profiler.hpp"
 
 namespace paramrio::enzo {
 
 namespace {
-
-constexpr std::uint64_t kDumpMagic = kMpiioDumpMagic;
-
-using SharedLayout = MpiioSharedLayout;
-
-SharedLayout build_layout(const DumpMeta& meta,
-                          const std::array<std::uint64_t, 3>& root_dims) {
-  return build_mpiio_layout(meta, root_dims);
-}
 
 mpi::Datatype block_subarray(const std::array<std::uint64_t, 3>& dims,
                              const amr::BlockExtent& e) {
@@ -33,24 +23,18 @@ mpi::Datatype block_subarray(const std::array<std::uint64_t, 3>& dims,
 }
 
 DumpMeta read_header(mpi::io::File& f) {
-  std::vector<std::byte> fixed(16);
   f.set_view(0);
-  f.read_at(0, fixed);
-  ByteReader r(fixed);
-  if (r.u64() != kDumpMagic) {
-    throw FormatError("not a paramrio MPI-IO dump: " + f.path());
-  }
-  std::uint64_t meta_bytes = r.u64();
-  std::vector<std::byte> blob(meta_bytes);
-  f.read_at(16, blob);
-  return DumpMeta::deserialize(blob);
+  return DumpMeta::deserialize(read_mpiio_header(
+      f.path(), f.size(), [&](std::uint64_t off, std::span<std::byte> out) {
+        f.read_at(off, out);
+      }));
 }
 
 /// Collective read of this rank's (Block,Block,Block) pieces of the
 /// top-grid fields.
-std::vector<amr::Array3f> read_topgrid_collective(mpi::io::File& f,
-                                                  const SimulationState& state,
-                                                  const SharedLayout& layout) {
+std::vector<amr::Array3f> read_topgrid_collective(
+    mpi::io::File& f, const SimulationState& state,
+    const MpiioSharedLayout& layout) {
   std::vector<amr::Array3f> fields;
   const amr::BlockExtent& e = state.my_block;
   for (int fi = 0; fi < amr::kNumBaryonFields; ++fi) {
@@ -68,7 +52,7 @@ std::vector<amr::Array3f> read_topgrid_collective(mpi::io::File& f,
 /// hints enable overlap.
 void prefetch_particle_slices(mpi::io::File& f, mpi::Comm& comm,
                               const DumpMeta& meta,
-                              const SharedLayout& layout) {
+                              const MpiioSharedLayout& layout) {
   auto [first, count] =
       amr::block_range(meta.n_particles, comm.size(), comm.rank());
   for (std::size_t a = 0; a < kNumParticleArrays; ++a) {
@@ -87,7 +71,7 @@ void prefetch_particle_slices(mpi::io::File& f, mpi::Comm& comm,
 template <typename PreRedistribute = std::nullptr_t>
 amr::ParticleSet read_particles_blockwise(
     mpi::io::File& f, mpi::Comm& comm, const SimulationState& state,
-    const DumpMeta& meta, const SharedLayout& layout,
+    const DumpMeta& meta, const MpiioSharedLayout& layout,
     PreRedistribute pre_redistribute = nullptr) {
   auto [first, count] =
       amr::block_range(meta.n_particles, comm.size(), comm.rank());
@@ -118,7 +102,7 @@ void MpiIoBackend::write_dump(mpi::Comm& comm, const SimulationState& state,
     meta.n_particles = comm.allreduce_sum(state.my_particles.size());
   }
   meta.hierarchy = state.hierarchy;
-  SharedLayout layout = build_layout(meta, state.config.root_dims);
+  MpiioSharedLayout layout = build_mpiio_layout(meta, state.config.root_dims);
 
   std::optional<mpi::io::File> f;
   {
@@ -129,7 +113,7 @@ void MpiIoBackend::write_dump(mpi::Comm& comm, const SimulationState& state,
   if (comm.rank() == 0) {
     OBS_SPAN("mpiio_dump.header", sim::TimeCategory::kIo);
     ByteWriter w;
-    w.u64(kDumpMagic);
+    w.u64(kMpiioDumpMagic);
     auto blob = meta.serialize();
     w.u64(blob.size());
     w.bytes(blob);
@@ -160,24 +144,15 @@ void MpiIoBackend::write_dump(mpi::Comm& comm, const SimulationState& state,
   // ---- particles: parallel sort by ID, then block-wise contiguous
   //      independent writes ("non-collective because the block-wise pattern
   //      always results in contiguous access in each processor") -----------
-  amr::ParticleSet sorted;
-  std::uint64_t first = 0;
+  SortedParticles sorted;
   {
     OBS_SPAN("mpiio_dump.particle_sort", sim::TimeCategory::kComm);
-    sorted = amr::parallel_sort_by_id(comm, state.my_particles);
-    std::uint64_t my_count = sorted.size();
-    auto counts_raw =
-        comm.allgatherv(std::as_bytes(std::span(&my_count, 1)));
-    for (int r = 0; r < comm.rank(); ++r) {
-      std::uint64_t c;
-      std::memcpy(&c, counts_raw[static_cast<std::size_t>(r)].data(), 8);
-      first += c;
-    }
+    sorted = sort_particles_for_dump(comm, state.my_particles);
   }
   if (overlap) f->write_at_all_end();
   {
     OBS_SPAN("mpiio_dump.particle_write", sim::TimeCategory::kIo);
-    const std::uint64_t my_count = sorted.size();
+    const std::uint64_t my_count = sorted.set.size();
     // Nonblocking per-array writes: packing array a+1 runs while array a's
     // write is in flight.  The buffers must outlive their requests.
     std::vector<std::vector<std::byte>> bufs(kNumParticleArrays);
@@ -185,9 +160,9 @@ void MpiIoBackend::write_dump(mpi::Comm& comm, const SimulationState& state,
     reqs.reserve(kNumParticleArrays);
     for (std::size_t a = 0; a < kNumParticleArrays; ++a) {
       bufs[a].resize(my_count * kParticleArrays[a].elem_size);
-      particle_array_to_bytes(sorted, a, 0, my_count, bufs[a].data());
+      particle_array_to_bytes(sorted.set, a, 0, my_count, bufs[a].data());
       f->set_view(layout.particle_off[a]);
-      reqs.push_back(f->iwrite_at(first * kParticleArrays[a].elem_size,
+      reqs.push_back(f->iwrite_at(sorted.first * kParticleArrays[a].elem_size,
                                   bufs[a]));
     }
     f->wait_all(reqs);
@@ -221,7 +196,7 @@ void MpiIoBackend::read_initial(mpi::Comm& comm, SimulationState& state,
                                 const std::string& base) {
   mpi::io::File f(comm, fs_, base + ".enzo", pfs::OpenMode::kRead, hints_);
   DumpMeta meta = read_header(f);
-  SharedLayout layout = build_layout(meta, state.config.root_dims);
+  MpiioSharedLayout layout = build_mpiio_layout(meta, state.config.root_dims);
 
   {
     OBS_SPAN("mpiio_dump.field_read", sim::TimeCategory::kIo);
@@ -231,58 +206,40 @@ void MpiIoBackend::read_initial(mpi::Comm& comm, SimulationState& state,
   }
 
   // Initial subgrids are read "in the same way as the top-grid": every grid
-  // partitioned across all ranks with collective subarray reads.
+  // partitioned across all ranks with collective subarray reads; small
+  // subgrids split across fewer ranks, the rest join with a zero-size
+  // request.
   OBS_SPAN("mpiio_dump.subgrid_read", sim::TimeCategory::kIo);
-  std::vector<amr::Grid> my_pieces;
-  for (const amr::GridDescriptor& g : meta.hierarchy.grids()) {
-    if (g.level == 0) continue;
-    std::uint64_t off = layout.subgrid_off.at(g.id);
-    std::uint64_t per_field = g.cell_count() * sizeof(float);
-    // Small subgrids split across fewer ranks; the rest still join the
-    // collective with a zero-size request.
-    std::array<int, 3> pg = bounded_proc_grid(g, comm.size());
-    const bool participate = comm.rank() < piece_count(pg);
-    amr::Grid piece;
-    if (participate) piece.desc = piece_descriptor(g, pg, comm.rank());
-    for (int fi = 0; fi < amr::kNumBaryonFields; ++fi) {
-      if (participate) {
-        amr::BlockExtent e = amr::block_of(g.dims, pg, comm.rank());
-        amr::Array3f blk(e.count[0], e.count[1], e.count[2]);
-        f.set_view(off + static_cast<std::uint64_t>(fi) * per_field,
-                   block_subarray(g.dims, e));
-        f.read_at_all(0, blk.mutable_bytes());
-        piece.fields.push_back(std::move(blk));
-      } else {
-        f.set_view(off + static_cast<std::uint64_t>(fi) * per_field);
-        f.read_at_all(0, {});
-      }
-    }
-    if (participate) my_pieces.push_back(std::move(piece));
-  }
+  read_partitioned_subgrids(
+      comm, state, meta,
+      [&](const amr::GridDescriptor& g, int fi, const amr::BlockExtent* e,
+          std::span<std::byte> out) {
+        const std::uint64_t off =
+            layout.subgrid_off.at(g.id) +
+            static_cast<std::uint64_t>(fi) * g.cell_count() * sizeof(float);
+        if (e != nullptr) {
+          f.set_view(off, block_subarray(g.dims, *e));
+        } else {
+          f.set_view(off);
+        }
+        f.read_at_all(0, out);
+      });
   f.close();
-  install_partitioned_hierarchy(comm, state, meta, std::move(my_pieces));
 }
 
 void MpiIoBackend::read_restart(mpi::Comm& comm, SimulationState& state,
                                 const std::string& base) {
   mpi::io::File f(comm, fs_, base + ".enzo", pfs::OpenMode::kRead, hints_);
   DumpMeta meta = read_header(f);
-  SharedLayout layout = build_layout(meta, state.config.root_dims);
+  MpiioSharedLayout layout = build_mpiio_layout(meta, state.config.root_dims);
 
   // The round-robin subgrid assignment is computable from the metadata
   // alone; knowing my grids up front lets the prefetcher run ahead.
-  std::vector<const amr::GridDescriptor*> my_grids;
-  {
-    int i = 0;
-    for (const amr::GridDescriptor& g : meta.hierarchy.grids()) {
-      if (g.level == 0) continue;
-      if (i % comm.size() == comm.rank()) my_grids.push_back(&g);
-      ++i;
-    }
-  }
+  const std::vector<amr::GridDescriptor> my_grids =
+      assign_restart_owners(comm, state, meta.hierarchy);
   auto prefetch_subgrid = [&](std::size_t idx) {
     if (idx >= my_grids.size()) return;
-    const amr::GridDescriptor& g = *my_grids[idx];
+    const amr::GridDescriptor& g = my_grids[idx];
     std::uint64_t off = layout.subgrid_off.at(g.id);
     std::uint64_t per_field = g.cell_count() * sizeof(float);
     for (int fi = 0; fi < amr::kNumBaryonFields; ++fi) {
@@ -312,23 +269,12 @@ void MpiIoBackend::read_restart(mpi::Comm& comm, SimulationState& state,
   // Subgrids round-robin, whole-grid contiguous independent reads, each
   // grid's slice prefetched while the previous one is consumed.
   OBS_SPAN("mpiio_dump.subgrid_read", sim::TimeCategory::kIo);
-  state.hierarchy = meta.hierarchy;
-  state.my_subgrids.clear();
   f.set_view(0);
-  {
-    int i = 0;
-    for (const amr::GridDescriptor& g : meta.hierarchy.grids()) {
-      if (g.level == 0) continue;
-      state.hierarchy.grid_mut(g.id).owner = i % comm.size();
-      ++i;
-    }
-  }
   for (std::size_t gi = 0; gi < my_grids.size(); ++gi) {
-    const amr::GridDescriptor& g = *my_grids[gi];
+    const amr::GridDescriptor& g = my_grids[gi];
     if (hints_.overlap) prefetch_subgrid(gi + 1);
     amr::Grid grid;
     grid.desc = g;
-    grid.desc.owner = comm.rank();
     grid.allocate_fields();
     std::uint64_t off = layout.subgrid_off.at(g.id);
     std::uint64_t per_field = g.cell_count() * sizeof(float);

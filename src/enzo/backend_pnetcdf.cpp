@@ -15,13 +15,6 @@ namespace paramrio::enzo {
 
 namespace {
 
-std::string subgrid_var_name(std::uint64_t id, const std::string& field) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "grid%06llu/",
-                static_cast<unsigned long long>(id));
-  return buf + field;
-}
-
 pnetcdf::NcType particle_nc_type(std::size_t array_idx) {
   if (array_idx == 0) return pnetcdf::NcType::kInt64;
   if (kParticleArrays[array_idx].elem_size == 4) {
@@ -70,7 +63,7 @@ DumpSchema define_schema(pnetcdf::NcFile& nc, const DumpMeta& meta,
     for (int f = 0; f < amr::kNumBaryonFields; ++f) {
       auto u = static_cast<std::size_t>(f);
       vars.push_back(nc.def_var(
-          subgrid_var_name(g.id, amr::baryon_field_names()[u]),
+          subgrid_group(g.id) + amr::baryon_field_names()[u],
           pnetcdf::NcType::kFloat, {gz, gy, gx}));
     }
   }
@@ -79,6 +72,44 @@ DumpSchema define_schema(pnetcdf::NcFile& nc, const DumpMeta& meta,
 
 std::vector<std::uint64_t> vec3(const std::array<std::uint64_t, 3>& a) {
   return {a[0], a[1], a[2]};
+}
+
+/// The part read_initial and read_restart share: collective subarray reads
+/// of this rank's top-grid block, block-wise particle slices (skipped
+/// entirely on ranks with an empty slice) and their redistribution by
+/// position.
+DumpMeta read_topgrid(pnetcdf::NcFile& nc, mpi::Comm& comm,
+                      SimulationState& state) {
+  DumpMeta meta = DumpMeta::deserialize(nc.get_att("metadata"));
+  OBS_SPAN("pnetcdf_dump.field_read", sim::TimeCategory::kIo);
+  std::vector<amr::Array3f> fields;
+  const amr::BlockExtent& e = state.my_block;
+  for (int f = 0; f < amr::kNumBaryonFields; ++f) {
+    auto u = static_cast<std::size_t>(f);
+    int v = nc.inq_varid("topgrid/" + amr::baryon_field_names()[u]);
+    amr::Array3f blk(e.count[0], e.count[1], e.count[2]);
+    nc.get_vara_all(v, vec3(e.start), vec3(e.count), blk.mutable_bytes());
+    fields.push_back(std::move(blk));
+  }
+
+  amr::ParticleSet particles;
+  if (meta.n_particles > 0) {
+    auto [first, count] =
+        amr::block_range(meta.n_particles, comm.size(), comm.rank());
+    amr::ParticleSet slice;
+    slice.resize(count);
+    for (std::size_t a = 0; a < kNumParticleArrays; ++a) {
+      if (count == 0) break;
+      int v = nc.inq_varid(std::string("topgrid/") + kParticleArrays[a].name);
+      std::vector<std::byte> buf(count * kParticleArrays[a].elem_size);
+      nc.get_vara(v, {first}, {count}, buf);
+      particle_array_from_bytes(slice, a, count, buf.data());
+    }
+    particles = amr::redistribute_by_position(
+        comm, slice, state.config.root_dims, state.proc_grid);
+  }
+  install_topgrid(state, meta, std::move(fields), std::move(particles));
+  return meta;
 }
 
 }  // namespace
@@ -123,27 +154,18 @@ void PnetcdfBackend::write_dump(mpi::Comm& comm, const SimulationState& state,
 
   // ---- particles: parallel sort, block-wise independent writes ----------
   if (meta.n_particles > 0) {
-    amr::ParticleSet sorted;
-    std::uint64_t first = 0;
+    SortedParticles sorted;
     {
       OBS_SPAN("pnetcdf_dump.particle_sort", sim::TimeCategory::kComm);
-      sorted = amr::parallel_sort_by_id(comm, state.my_particles);
-      std::uint64_t my_count = sorted.size();
-      auto counts_raw =
-          comm.allgatherv(std::as_bytes(std::span(&my_count, 1)));
-      for (int r = 0; r < comm.rank(); ++r) {
-        std::uint64_t c;
-        std::memcpy(&c, counts_raw[static_cast<std::size_t>(r)].data(), 8);
-        first += c;
-      }
+      sorted = sort_particles_for_dump(comm, state.my_particles);
     }
     OBS_SPAN("pnetcdf_dump.particle_write", sim::TimeCategory::kIo);
-    std::uint64_t my_count = sorted.size();
+    std::uint64_t my_count = sorted.set.size();
     for (std::size_t a = 0; a < kNumParticleArrays; ++a) {
       if (my_count == 0) continue;
       std::vector<std::byte> buf(my_count * kParticleArrays[a].elem_size);
-      particle_array_to_bytes(sorted, a, 0, my_count, buf.data());
-      nc->put_vara(schema.particles[a], {first}, {my_count}, buf);
+      particle_array_to_bytes(sorted.set, a, 0, my_count, buf.data());
+      nc->put_vara(schema.particles[a], {sorted.first}, {my_count}, buf);
     }
   }
 
@@ -173,71 +195,26 @@ void PnetcdfBackend::read_initial(mpi::Comm& comm, SimulationState& state,
   pnetcdf::NcConfig cfg;
   cfg.hints = hints_;
   pnetcdf::NcFile nc = pnetcdf::NcFile::open(comm, fs_, base + ".nc", cfg);
-  DumpMeta meta = DumpMeta::deserialize(nc.get_att("metadata"));
+  const DumpMeta meta = read_topgrid(nc, comm, state);
 
-  {
-    OBS_SPAN("pnetcdf_dump.field_read", sim::TimeCategory::kIo);
-    // Top-grid fields: collective subarray reads of my block.
-    std::vector<amr::Array3f> fields;
-    const amr::BlockExtent& e = state.my_block;
-    for (int f = 0; f < amr::kNumBaryonFields; ++f) {
-      auto u = static_cast<std::size_t>(f);
-      int v = nc.inq_varid("topgrid/" + amr::baryon_field_names()[u]);
-      amr::Array3f blk(e.count[0], e.count[1], e.count[2]);
-      nc.get_vara_all(v, vec3(e.start), vec3(e.count), blk.mutable_bytes());
-      fields.push_back(std::move(blk));
-    }
-
-    // Particles: block-wise slices then redistribution by position.
-    amr::ParticleSet particles;
-    if (meta.n_particles > 0) {
-      auto [first, count] =
-          amr::block_range(meta.n_particles, comm.size(), comm.rank());
-      amr::ParticleSet slice;
-      slice.resize(count);
-      for (std::size_t a = 0; a < kNumParticleArrays; ++a) {
-        if (count == 0) break;
-        int v =
-            nc.inq_varid(std::string("topgrid/") + kParticleArrays[a].name);
-        std::vector<std::byte> buf(count * kParticleArrays[a].elem_size);
-        nc.get_vara(v, {first}, {count}, buf);
-        particle_array_from_bytes(slice, a, count, buf.data());
-      }
-      particles = amr::redistribute_by_position(
-          comm, slice, state.config.root_dims, state.proc_grid);
-    }
-    install_topgrid(state, meta, std::move(fields), std::move(particles));
-  }
-
-  // Initial subgrids: every grid partitioned, collective reads.
+  // Initial subgrids: every grid partitioned, collective reads; ranks
+  // without a piece join with zero counts (netCDF-style), transferring
+  // nothing.
   OBS_SPAN("pnetcdf_dump.subgrid_read", sim::TimeCategory::kIo);
-  std::vector<amr::Grid> my_pieces;
-  for (const amr::GridDescriptor& g : meta.hierarchy.grids()) {
-    if (g.level == 0) continue;
-    std::array<int, 3> pg = bounded_proc_grid(g, comm.size());
-    const bool participate = comm.rank() < piece_count(pg);
-    amr::Grid piece;
-    if (participate) piece.desc = piece_descriptor(g, pg, comm.rank());
-    for (int f = 0; f < amr::kNumBaryonFields; ++f) {
-      auto u = static_cast<std::size_t>(f);
-      int v = nc.inq_varid(
-          subgrid_var_name(g.id, amr::baryon_field_names()[u]));
-      if (participate) {
-        amr::BlockExtent pe = amr::block_of(g.dims, pg, comm.rank());
-        amr::Array3f blk(pe.count[0], pe.count[1], pe.count[2]);
-        nc.get_vara_all(v, vec3(pe.start), vec3(pe.count),
-                        blk.mutable_bytes());
-        piece.fields.push_back(std::move(blk));
-      } else {
-        // Zero-size participation (netCDF-style zero counts): joins the
-        // collective, transfers nothing.
-        nc.get_vara_all(v, {0, 0, 0}, {0, 0, 0}, {});
-      }
-    }
-    if (participate) my_pieces.push_back(std::move(piece));
-  }
+  read_partitioned_subgrids(
+      comm, state, meta,
+      [&](const amr::GridDescriptor& g, int f, const amr::BlockExtent* e,
+          std::span<std::byte> out) {
+        int v = nc.inq_varid(
+            subgrid_group(g.id) +
+            amr::baryon_field_names()[static_cast<std::size_t>(f)]);
+        if (e != nullptr) {
+          nc.get_vara_all(v, vec3(e->start), vec3(e->count), out);
+        } else {
+          nc.get_vara_all(v, {0, 0, 0}, {0, 0, 0}, {});
+        }
+      });
   nc.close();
-  install_partitioned_hierarchy(comm, state, meta, std::move(my_pieces));
 }
 
 void PnetcdfBackend::read_restart(mpi::Comm& comm, SimulationState& state,
@@ -245,63 +222,21 @@ void PnetcdfBackend::read_restart(mpi::Comm& comm, SimulationState& state,
   pnetcdf::NcConfig cfg;
   cfg.hints = hints_;
   pnetcdf::NcFile nc = pnetcdf::NcFile::open(comm, fs_, base + ".nc", cfg);
-  DumpMeta meta = DumpMeta::deserialize(nc.get_att("metadata"));
-
-  {
-    OBS_SPAN("pnetcdf_dump.field_read", sim::TimeCategory::kIo);
-    std::vector<amr::Array3f> fields;
-    const amr::BlockExtent& e = state.my_block;
-    for (int f = 0; f < amr::kNumBaryonFields; ++f) {
-      auto u = static_cast<std::size_t>(f);
-      int v = nc.inq_varid("topgrid/" + amr::baryon_field_names()[u]);
-      amr::Array3f blk(e.count[0], e.count[1], e.count[2]);
-      nc.get_vara_all(v, vec3(e.start), vec3(e.count), blk.mutable_bytes());
-      fields.push_back(std::move(blk));
-    }
-
-    amr::ParticleSet particles;
-    if (meta.n_particles > 0) {
-      auto [first, count] =
-          amr::block_range(meta.n_particles, comm.size(), comm.rank());
-      amr::ParticleSet slice;
-      slice.resize(count);
-      for (std::size_t a = 0; a < kNumParticleArrays; ++a) {
-        if (count == 0) break;
-        int v =
-            nc.inq_varid(std::string("topgrid/") + kParticleArrays[a].name);
-        std::vector<std::byte> buf(count * kParticleArrays[a].elem_size);
-        nc.get_vara(v, {first}, {count}, buf);
-        particle_array_from_bytes(slice, a, count, buf.data());
-      }
-      particles = amr::redistribute_by_position(
-          comm, slice, state.config.root_dims, state.proc_grid);
-    }
-    install_topgrid(state, meta, std::move(fields), std::move(particles));
-  }
+  const DumpMeta meta = read_topgrid(nc, comm, state);
 
   OBS_SPAN("pnetcdf_dump.subgrid_read", sim::TimeCategory::kIo);
-  state.hierarchy = meta.hierarchy;
-  state.my_subgrids.clear();
-  int i = 0;
-  for (const amr::GridDescriptor& g : meta.hierarchy.grids()) {
-    if (g.level == 0) continue;
-    int owner = i % comm.size();
-    state.hierarchy.grid_mut(g.id).owner = owner;
-    if (owner == comm.rank()) {
-      amr::Grid grid;
-      grid.desc = g;
-      grid.desc.owner = owner;
-      grid.allocate_fields();
-      for (int f = 0; f < amr::kNumBaryonFields; ++f) {
-        auto u = static_cast<std::size_t>(f);
-        int v = nc.inq_varid(
-            subgrid_var_name(g.id, amr::baryon_field_names()[u]));
-        nc.get_vara(v, {0, 0, 0}, vec3(g.dims),
-                    grid.fields[u].mutable_bytes());
-      }
-      state.my_subgrids.push_back(std::move(grid));
+  for (const amr::GridDescriptor& g :
+       assign_restart_owners(comm, state, meta.hierarchy)) {
+    amr::Grid grid;
+    grid.desc = g;
+    grid.allocate_fields();
+    for (int f = 0; f < amr::kNumBaryonFields; ++f) {
+      auto u = static_cast<std::size_t>(f);
+      int v =
+          nc.inq_varid(subgrid_group(g.id) + amr::baryon_field_names()[u]);
+      nc.get_vara(v, {0, 0, 0}, vec3(g.dims), grid.fields[u].mutable_bytes());
     }
-    ++i;
+    state.my_subgrids.push_back(std::move(grid));
   }
   nc.close();
 }

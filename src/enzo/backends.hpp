@@ -1,5 +1,5 @@
-// The three concrete I/O strategies the paper compares.  See io_backend.hpp
-// for the role of each.
+// The four concrete I/O strategies: the three the paper compares plus the
+// PnetCDF-analogue follow-up.  See io_backend.hpp for the role of each.
 #pragma once
 
 #include "enzo/io_backend.hpp"

@@ -15,6 +15,20 @@ constexpr std::uint64_t kMarkerMagic = 0x434b50542d4f4b21ULL;
 
 }  // namespace
 
+std::string generation_base(const std::string& series, std::uint64_t gen) {
+  return series + ".g" + std::to_string(gen);
+}
+
+std::string marker_path(const std::string& series, std::uint64_t gen) {
+  return generation_base(series, gen) + ".ok";
+}
+
+bool is_commit_marker(std::span<const std::byte> bytes, std::uint64_t gen) {
+  if (bytes.size() != kCommitMarkerBytes) return false;
+  ByteReader r(bytes);
+  return r.u64() == kMarkerMagic && r.u64() == gen;
+}
+
 void CheckpointSeries::dump(mpi::Comm& comm, const SimulationState& state,
                             std::uint64_t gen) {
   // At most one async drain in flight: settle the previous generation's
@@ -58,12 +72,12 @@ void CheckpointSeries::dump(mpi::Comm& comm, const SimulationState& state,
 bool CheckpointSeries::committed(std::uint64_t gen) const {
   const auto& store = fs_.store();
   const std::string marker = marker_path(gen);
-  if (!store.exists(marker)) return false;
-  std::vector<std::byte> raw(store.size(marker));
-  if (raw.size() != 16) return false;
+  if (!store.exists(marker) || store.size(marker) != kCommitMarkerBytes) {
+    return false;
+  }
+  std::vector<std::byte> raw(kCommitMarkerBytes);
   store.read_at(marker, 0, raw);
-  ByteReader r(raw);
-  return r.u64() == kMarkerMagic && r.u64() == gen;
+  return is_commit_marker(raw, gen);
 }
 
 bool CheckpointSeries::torn(std::uint64_t gen) const {

@@ -18,11 +18,13 @@
 // system, so a crash while committing simply leaves the dump uncommitted —
 // there is no window in which a half-written dump looks valid.  Torn dumps
 // are additionally detectable by the check analyzer (their write trace shows
-// holes / missing files) and by dump_inspect's format validation.
+// holes / missing files) and by decode_dump's format validation
+// (dump_inspect.hpp), which inspect_dump and the query index share.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "enzo/io_backend.hpp"
@@ -30,6 +32,19 @@
 #include "stage/staged_fs.hpp"
 
 namespace paramrio::enzo {
+
+/// "<series>.g<gen>": the dump base of generation `gen`.
+std::string generation_base(const std::string& series, std::uint64_t gen);
+
+/// "<series>.g<gen>.ok": generation `gen`'s commit marker.
+std::string marker_path(const std::string& series, std::uint64_t gen);
+
+/// A commit marker is exactly this long: the "CKPT-OK!" magic, then the
+/// generation number.
+inline constexpr std::uint64_t kCommitMarkerBytes = 16;
+
+/// True when `bytes` is a valid commit marker for generation `gen`.
+bool is_commit_marker(std::span<const std::byte> bytes, std::uint64_t gen);
 
 class CheckpointSeries {
  public:
@@ -39,10 +54,10 @@ class CheckpointSeries {
       : backend_(backend), fs_(fs), base_(std::move(base)) {}
 
   std::string gen_base(std::uint64_t gen) const {
-    return base_ + ".g" + std::to_string(gen);
+    return generation_base(base_, gen);
   }
   std::string marker_path(std::uint64_t gen) const {
-    return gen_base(gen) + ".ok";
+    return enzo::marker_path(base_, gen);
   }
 
   /// Route dumps through a burst-buffer staging tier (`staged` must be the

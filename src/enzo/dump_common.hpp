@@ -1,9 +1,15 @@
-// Pieces shared by all three I/O backends: dump metadata, the particle
-// dataset schema (ENZO's fixed series of 1-D arrays), and the grid-
-// partitioning bookkeeping used by new-simulation reads.
+// The ENZO dump schema, shared by all four I/O backends and the layout
+// decoder (dump_inspect.hpp): dump metadata, the particle dataset series,
+// file/group naming, the MPI-IO shared-file layout and header, the
+// partitioning of new-simulation reads, and restart ownership.  Each
+// backend adds only the calls that make up its I/O strategy.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,6 +60,57 @@ void particle_array_from_bytes(amr::ParticleSet& p, std::size_t idx,
 /// Bytes of all particle arrays for `n` particles.
 std::uint64_t particle_payload_bytes(std::uint64_t n);
 
+/// This rank's share of the globally ID-sorted particles and the global
+/// index of its first particle: where its block-wise slice of every
+/// particle array starts.
+struct SortedParticles {
+  amr::ParticleSet set;
+  std::uint64_t first = 0;
+};
+
+/// Collective: parallel sample sort by ID, then one allgatherv of the
+/// per-rank counts for the write offset.
+SortedParticles sort_particles_for_dump(mpi::Comm& comm,
+                                        const amr::ParticleSet& mine);
+
+/// "<base>.grid%06llu": the HDF4 backend's file holding subgrid `id`.
+std::string subgrid_file_name(const std::string& base, std::uint64_t id);
+
+/// "grid%06llu/": the HDF5 group / PnetCDF variable prefix of subgrid `id`
+/// (the top grid's is "topgrid/").
+std::string subgrid_group(std::uint64_t id);
+
+/// Byte layout of the MPI-IO backend's shared file (`<base>.enzo`),
+/// computable on every rank from the dump metadata alone: a 16-byte header
+/// (magic, metadata length), the serialized DumpMeta, the top-grid fields,
+/// the particle arrays, then each subgrid's fields in hierarchy order.
+struct MpiioSharedLayout {
+  std::uint64_t topgrid_fields = 0;  ///< start of the top-grid fields
+  std::uint64_t field_bytes = 0;     ///< bytes per top-grid field
+  std::array<std::uint64_t, kNumParticleArrays> particle_off{};
+  std::map<std::uint64_t, std::uint64_t> subgrid_off;  ///< grid id -> start
+
+  std::uint64_t field_off(int f) const {
+    return topgrid_fields + static_cast<std::uint64_t>(f) * field_bytes;
+  }
+};
+
+constexpr std::uint64_t kMpiioDumpMagic = 0x4F5A4E45504D5244ULL;  // "DRMPENZO"
+
+MpiioSharedLayout build_mpiio_layout(
+    const DumpMeta& meta, const std::array<std::uint64_t, 3>& root_dims);
+
+/// Reads `n` bytes at an offset of one open file, through whichever
+/// interface (and clock) the caller uses.
+using ReadAt = std::function<void(std::uint64_t, std::span<std::byte>)>;
+
+/// Decode the MPI-IO dump header of `path` (`size` bytes long) and return
+/// the serialized DumpMeta it carries.  Throws FormatError naming `path` on
+/// a bad magic or a metadata length past the end of the file.
+std::vector<std::byte> read_mpiio_header(const std::string& path,
+                                         std::uint64_t size,
+                                         const ReadAt& read);
+
 /// Processor grid used to partition grid `g` among up to `nprocs` ranks:
 /// the global processor grid with each axis capped at the grid's cell count
 /// (small subgrids are split over fewer ranks; the rest receive nothing).
@@ -77,6 +134,28 @@ amr::GridDescriptor piece_descriptor(const amr::GridDescriptor& g,
 void install_partitioned_hierarchy(mpi::Comm& comm, SimulationState& state,
                                    const DumpMeta& meta,
                                    std::vector<amr::Grid> my_pieces);
+
+/// One backend's read of field `f` of stored subgrid `g` in a
+/// new-simulation load: this rank's block `*e` of the field into `out`, or,
+/// when `e` is null (the rank holds no piece of `g`), a zero-size part in
+/// the same collective.
+using SubgridFieldRead = std::function<void(
+    const amr::GridDescriptor& g, int f, const amr::BlockExtent* e,
+    std::span<std::byte> out)>;
+
+/// Collective new-simulation subgrid read: every stored subgrid is split
+/// over bounded_proc_grid's ranks, `read` runs for each (subgrid, field) on
+/// every rank, and the pieces are installed as in
+/// install_partitioned_hierarchy.
+void read_partitioned_subgrids(mpi::Comm& comm, SimulationState& state,
+                               const DumpMeta& meta,
+                               const SubgridFieldRead& read);
+
+/// ENZO's restart placement: stored subgrid i (hierarchy order) goes to
+/// rank i % P.  Installs the dump's hierarchy with those owners in `state`
+/// (dropping its subgrids) and returns this rank's grids, in order.
+std::vector<amr::GridDescriptor> assign_restart_owners(
+    mpi::Comm& comm, SimulationState& state, const amr::Hierarchy& stored);
 
 /// Reconstruct top-grid state after the per-rank block fields and the
 /// position-partitioned particles are in hand.

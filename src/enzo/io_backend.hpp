@@ -1,5 +1,5 @@
-// The application's I/O strategy interface and the three implementations the
-// paper compares:
+// The application's I/O strategy interface and the four implementations
+// (backends.hpp):
 //
 //   * Hdf4SerialBackend  — the original ENZO design: processor 0 gathers the
 //     top-grid (fields and globally re-sorted particles) and writes it
@@ -13,11 +13,15 @@
 //     parallel HDF5-analogue (hyperslab selections over MPI-IO), incurring
 //     its metadata-synchronisation / alignment / packing / attribute
 //     overheads.
+//   * PnetcdfBackend     — the same access patterns through the PnetCDF-
+//     analogue's one define phase and flat aligned layout (the authors'
+//     follow-up design, SC 2003).
 //
-// All three implement the paper's three I/O categories: reading initial
+// All four implement the paper's three I/O categories: reading initial
 // grids in a new simulation (every grid partitioned among all processors),
 // checkpoint dumps, and restart reads (top-grid partitioned, subgrids read
-// round-robin).
+// round-robin).  They share one dump schema (dump_common.hpp); what differs
+// is only how each moves the bytes.
 #pragma once
 
 #include <string>

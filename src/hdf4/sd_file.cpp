@@ -86,24 +86,47 @@ void SdFile::scan() {
     }
     auto hdr = read_exact(*fs_, fd_, pos + 8, hdrlen);
     ByteReader r(hdr);
+    // Every length below is checked against what is left before it sizes a
+    // buffer or moves `pos`, so a record can never reach past the file or
+    // send the scan back to an earlier record.
+    const std::uint64_t body = pos + 8 + hdrlen;
+    auto malformed = [&](const std::string& what) {
+      return FormatError(path_ + ": " + what + " in the record at offset " +
+                         std::to_string(pos));
+    };
     if (kind == kKindDataset) {
       SdsInfo info;
       info.name = r.str();
-      info.type = static_cast<NumberType>(r.u8());
-      std::uint32_t ndims = r.u32();
+      const std::uint8_t type = r.u8();
+      if (type > static_cast<std::uint8_t>(NumberType::kInt64)) {
+        throw malformed("bad number type " + std::to_string(type));
+      }
+      info.type = static_cast<NumberType>(type);
+      const std::uint32_t ndims = r.u32();
+      if (std::uint64_t{ndims} * 8 > r.remaining()) {
+        throw malformed(std::to_string(ndims) + " dims overrun the header");
+      }
       info.dims.reserve(ndims);
       for (std::uint32_t d = 0; d < ndims; ++d) info.dims.push_back(r.u64());
       info.data_bytes = r.u64();
-      info.data_offset = pos + 8 + hdrlen;
+      info.data_offset = body;
+      if (info.data_bytes > size - body) {
+        throw malformed("dataset of " + std::to_string(info.data_bytes) +
+                        " bytes overruns the file");
+      }
       index_[info.name] = datasets_.size();
       datasets_.push_back(info);
       pos = info.data_offset + info.data_bytes;
     } else if (kind == kKindAttribute) {
       std::string name = r.str();
       std::uint64_t nbytes = r.u64();
-      auto value = read_exact(*fs_, fd_, pos + 8 + hdrlen, nbytes);
+      if (nbytes > size - body) {
+        throw malformed("attribute of " + std::to_string(nbytes) +
+                        " bytes overruns the file");
+      }
+      auto value = read_exact(*fs_, fd_, body, nbytes);
       attributes_[name] = std::move(value);
-      pos += 8 + hdrlen + nbytes;
+      pos = body + nbytes;
     } else {
       throw FormatError(path_ + ": unknown record kind " +
                         std::to_string(kind));

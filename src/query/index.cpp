@@ -1,13 +1,8 @@
 #include "query/index.hpp"
 
-#include <cstdio>
 #include <cstring>
 
 #include "base/byte_io.hpp"
-#include "enzo/mpiio_layout.hpp"
-#include "hdf4/sd_file.hpp"
-#include "hdf5/h5_file.hpp"
-#include "pnetcdf/nc_file.hpp"
 
 namespace paramrio::query {
 
@@ -15,197 +10,6 @@ namespace {
 
 constexpr std::uint32_t kIndexMagic = 0x58444951;  // "QIDX"
 constexpr std::uint32_t kIndexVersion = 1;
-
-std::string grid_file_name(const std::string& base, std::uint64_t id) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, ".grid%06llu",
-                static_cast<unsigned long long>(id));
-  return base + buf;
-}
-
-std::string grid_group_name(std::uint64_t id) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "grid%06llu/",
-                static_cast<unsigned long long>(id));
-  return buf;
-}
-
-std::array<std::uint64_t, 3> dims3(const std::vector<std::uint64_t>& d,
-                                   const std::string& what) {
-  if (d.size() != 3) {
-    throw FormatError("query index: dataset " + what + " is not 3-d");
-  }
-  return {d[0], d[1], d[2]};
-}
-
-void build_hdf4(pfs::FileSystem& fs, const std::string& base,
-                GenerationIndex& ix) {
-  const std::string top_path = base + ".topgrid";
-  hdf4::SdFile top = hdf4::SdFile::open(fs, top_path);
-  auto blob = top.read_attribute("metadata");
-  ix.meta = enzo::DumpMeta::deserialize(blob);
-  ix.attributes["metadata"] = blob;
-  const amr::GridDescriptor& root = ix.meta.hierarchy.root();
-  auto& root_fields = ix.fields[root.id];
-  for (int f = 0; f < amr::kNumBaryonFields; ++f) {
-    const std::string& name =
-        amr::baryon_field_names()[static_cast<std::size_t>(f)];
-    const hdf4::SdsInfo& i = top.info(name);
-    root_fields[name] =
-        FieldExtent{top_path, i.data_offset, i.data_bytes,
-                    dims3(i.dims, top_path + ":" + name)};
-  }
-  if (ix.meta.n_particles > 0) {
-    for (std::size_t a = 0; a < enzo::kNumParticleArrays; ++a) {
-      const hdf4::SdsInfo& i = top.info(enzo::kParticleArrays[a].name);
-      ix.particles.push_back(ParticleExtent{top_path, i.data_offset,
-                                            enzo::kParticleArrays[a].elem_size});
-    }
-  }
-  top.close();
-  for (const amr::GridDescriptor& g : ix.meta.hierarchy.grids()) {
-    if (g.level == 0) continue;
-    const std::string path = grid_file_name(base, g.id);
-    hdf4::SdFile sub = hdf4::SdFile::open(fs, path);
-    auto& gf = ix.fields[g.id];
-    for (int f = 0; f < amr::kNumBaryonFields; ++f) {
-      const std::string& name =
-          amr::baryon_field_names()[static_cast<std::size_t>(f)];
-      const hdf4::SdsInfo& i = sub.info(name);
-      gf[name] = FieldExtent{path, i.data_offset, i.data_bytes,
-                             dims3(i.dims, path + ":" + name)};
-    }
-    sub.close();
-  }
-}
-
-void build_hdf5(pfs::FileSystem& fs, const std::string& base,
-                GenerationIndex& ix) {
-  const std::string path = base + ".h5";
-  hdf5::H5File h = hdf5::H5File::open(fs, path);
-  auto blob = h.read_attribute("metadata");
-  ix.meta = enzo::DumpMeta::deserialize(blob);
-  ix.attributes["metadata"] = blob;
-  for (const amr::GridDescriptor& g : ix.meta.hierarchy.grids()) {
-    const std::string group =
-        g.level == 0 ? std::string("topgrid/") : grid_group_name(g.id);
-    auto& gf = ix.fields[g.id];
-    for (int f = 0; f < amr::kNumBaryonFields; ++f) {
-      const std::string& name =
-          amr::baryon_field_names()[static_cast<std::size_t>(f)];
-      const hdf5::DatasetInfo& i = h.open_dataset(group + name).info();
-      gf[name] = FieldExtent{path, i.data_addr, i.data_bytes,
-                             dims3(i.dims, path + ":" + group + name)};
-    }
-  }
-  if (ix.meta.n_particles > 0) {
-    for (std::size_t a = 0; a < enzo::kNumParticleArrays; ++a) {
-      const hdf5::DatasetInfo& i =
-          h.open_dataset(std::string("topgrid/") +
-                         enzo::kParticleArrays[a].name)
-              .info();
-      ix.particles.push_back(ParticleExtent{
-          path, i.data_addr, enzo::kParticleArrays[a].elem_size});
-    }
-  }
-  h.close();
-}
-
-void build_pnetcdf(pfs::FileSystem& fs, const std::string& base,
-                   GenerationIndex& ix) {
-  const std::string path = base + ".nc";
-  pnetcdf::NcHeader h = pnetcdf::read_nc_header(fs, path);
-  auto it = h.atts.find("metadata");
-  if (it == h.atts.end()) {
-    throw FormatError(path + ": missing metadata attribute");
-  }
-  ix.meta = enzo::DumpMeta::deserialize(it->second);
-  ix.attributes = h.atts;
-  auto var_dims = [&](const pnetcdf::Var& v) {
-    std::vector<std::uint64_t> d;
-    for (int id : v.dim_ids) {
-      d.push_back(h.dims[static_cast<std::size_t>(id)].length);
-    }
-    return d;
-  };
-  for (const amr::GridDescriptor& g : ix.meta.hierarchy.grids()) {
-    const std::string group =
-        g.level == 0 ? std::string("topgrid/") : grid_group_name(g.id);
-    auto& gf = ix.fields[g.id];
-    for (int f = 0; f < amr::kNumBaryonFields; ++f) {
-      const std::string& name =
-          amr::baryon_field_names()[static_cast<std::size_t>(f)];
-      const pnetcdf::Var* v = h.find_var(group + name);
-      if (v == nullptr) {
-        throw FormatError(path + ": missing variable " + group + name);
-      }
-      gf[name] = FieldExtent{path, v->offset, v->bytes,
-                             dims3(var_dims(*v), path + ":" + group + name)};
-    }
-  }
-  if (ix.meta.n_particles > 0) {
-    for (std::size_t a = 0; a < enzo::kNumParticleArrays; ++a) {
-      const pnetcdf::Var* v = h.find_var(std::string("topgrid/") +
-                                         enzo::kParticleArrays[a].name);
-      if (v == nullptr) {
-        throw FormatError(path + ": missing particle variable " +
-                          enzo::kParticleArrays[a].name);
-      }
-      ix.particles.push_back(ParticleExtent{
-          path, v->offset, enzo::kParticleArrays[a].elem_size});
-    }
-  }
-}
-
-void build_mpiio(pfs::FileSystem& fs, const std::string& base,
-                 GenerationIndex& ix) {
-  const std::string path = base + ".enzo";
-  int fd = fs.open(path, pfs::OpenMode::kRead);
-  std::vector<std::byte> fixed(16);
-  fs.read_at(fd, 0, fixed);
-  ByteReader r(fixed);
-  if (r.u64() != enzo::kMpiioDumpMagic) {
-    fs.close(fd);
-    throw FormatError(path + ": bad dump magic");
-  }
-  std::uint64_t meta_bytes = r.u64();
-  std::vector<std::byte> blob(meta_bytes);
-  fs.read_at(fd, 16, blob);
-  fs.close(fd);
-  ix.meta = enzo::DumpMeta::deserialize(blob);
-  ix.attributes["metadata"] = blob;
-
-  const amr::GridDescriptor& root = ix.meta.hierarchy.root();
-  enzo::MpiioSharedLayout layout =
-      enzo::build_mpiio_layout(ix.meta, root.dims);
-  auto& root_fields = ix.fields[root.id];
-  for (int f = 0; f < amr::kNumBaryonFields; ++f) {
-    const std::string& name =
-        amr::baryon_field_names()[static_cast<std::size_t>(f)];
-    root_fields[name] =
-        FieldExtent{path, layout.field_off(f), layout.field_bytes, root.dims};
-  }
-  for (const amr::GridDescriptor& g : ix.meta.hierarchy.grids()) {
-    if (g.level == 0) continue;
-    const std::uint64_t field_bytes = g.cell_count() * sizeof(float);
-    auto& gf = ix.fields[g.id];
-    for (int f = 0; f < amr::kNumBaryonFields; ++f) {
-      const std::string& name =
-          amr::baryon_field_names()[static_cast<std::size_t>(f)];
-      gf[name] = FieldExtent{
-          path,
-          layout.subgrid_off.at(g.id) +
-              static_cast<std::uint64_t>(f) * field_bytes,
-          field_bytes, g.dims};
-    }
-  }
-  if (ix.meta.n_particles > 0) {
-    for (std::size_t a = 0; a < enzo::kNumParticleArrays; ++a) {
-      ix.particles.push_back(ParticleExtent{
-          path, layout.particle_off[a], enzo::kParticleArrays[a].elem_size});
-    }
-  }
-}
 
 /// Stream the (sorted) particle_id array and record the sample ladder.
 /// Timed: this is the one data-region scan an index build pays.
@@ -323,7 +127,12 @@ GenerationIndex GenerationIndex::deserialize(std::span<const std::byte> data) {
   }
   GenerationIndex ix;
   ix.gen = r.u64();
-  ix.format = static_cast<enzo::DumpFormat>(r.u8());
+  const std::uint8_t format = r.u8();
+  if (format > static_cast<std::uint8_t>(enzo::DumpFormat::kPnetcdf)) {
+    throw FormatError("query index blob: bad dump format " +
+                      std::to_string(format));
+  }
+  ix.format = static_cast<enzo::DumpFormat>(format);
   std::uint64_t meta_bytes = r.u64();
   ix.meta = enzo::DumpMeta::deserialize(r.bytes(meta_bytes));
   std::uint64_t ngrids = r.u64();
@@ -371,24 +180,8 @@ GenerationIndex GenerationIndex::deserialize(std::span<const std::byte> data) {
 GenerationIndex build_index(pfs::FileSystem& fs, const std::string& gen_base,
                             std::uint64_t gen) {
   GenerationIndex ix;
+  static_cast<enzo::DumpLayout&>(ix) = enzo::decode_dump(fs, gen_base);
   ix.gen = gen;
-  ix.format = enzo::detect_dump_format(fs, gen_base);
-  switch (ix.format) {
-    case enzo::DumpFormat::kHdf4:
-      build_hdf4(fs, gen_base, ix);
-      break;
-    case enzo::DumpFormat::kMpiIo:
-      build_mpiio(fs, gen_base, ix);
-      break;
-    case enzo::DumpFormat::kHdf5:
-      build_hdf5(fs, gen_base, ix);
-      break;
-    case enzo::DumpFormat::kPnetcdf:
-      build_pnetcdf(fs, gen_base, ix);
-      break;
-    case enzo::DumpFormat::kUnknown:
-      throw IoError("query: no dump found under '" + gen_base + "'");
-  }
   build_id_ladder(fs, ix);
   return ix;
 }

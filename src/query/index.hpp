@@ -5,51 +5,30 @@
 // its own bytes went because it computed the layout on the way in.  A
 // *reader* that wants one field of one subgrid, or particles 1000..2000,
 // has no such luck — the paper's formats bury offsets in format-specific
-// metadata (HDF4 DDs, the HDF5 record chain, the PNC header, the MPI-IO
-// closed-form layout).  The index flattens all four into one uniform map,
-// built once per generation via the format inspectors:
+// metadata (HDF4 SDS records, the HDF5 record chain, the PNC header, the
+// MPI-IO closed-form layout).  The index is enzo::decode_dump's layout —
+// the one reader per format, which inspect_dump also summarises — plus:
 //
-//   * per (grid, field): file path, absolute byte offset, byte length and
-//     (z, y, x) dims — enough to plan a sub-volume extract as byte runs;
-//   * per particle array: path/offset/element size, plus the ID range and
-//     a strided sample ladder over the (sorted) particle_id array so an ID
-//     range query binary-searches a small window instead of scanning;
-//   * the dump's attributes (the serialized DumpMeta and anything else the
-//     writer attached), so metadata lookups never touch the data region.
+//   * a strided sample ladder over the (sorted) particle_id array and the
+//     ID range, so an ID range query binary-searches a small window
+//     instead of scanning.
 //
 // The index serializes to a compact blob that `mdms::Catalog` persists
 // (versioned, tombstone-aware), so a fresh process can serve a series
 // without re-inspecting every generation.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "enzo/dump_common.hpp"
 #include "enzo/dump_inspect.hpp"
 #include "pfs/filesystem.hpp"
 
 namespace paramrio::query {
 
-/// Where one field of one grid lives: a contiguous row-major (z, y, x)
-/// float32 array at [offset, offset + bytes) of `path`.
-struct FieldExtent {
-  std::string path;
-  std::uint64_t offset = 0;
-  std::uint64_t bytes = 0;
-  std::array<std::uint64_t, 3> dims{};  ///< (z, y, x) cells
-};
-
-/// Where one particle array lives (all backends store each array
-/// contiguously, sorted by particle ID).
-struct ParticleExtent {
-  std::string path;
-  std::uint64_t offset = 0;
-  std::uint64_t elem_size = 0;
-};
+using FieldExtent = enzo::FieldExtent;
+using ParticleExtent = enzo::ParticleExtent;
 
 /// One rung of the particle-ID sample ladder: the ID at array index
 /// `index`.  Rungs are ascending in both fields (IDs are sorted).
@@ -62,21 +41,14 @@ struct IdSample {
 /// must actually read is at most two strides.
 inline constexpr std::uint64_t kIdSampleStride = 4096;
 
-struct GenerationIndex {
+/// A decoded generation: the layout (format, meta, field and particle
+/// extents, attributes) plus the particle-ID ladder.
+struct GenerationIndex : enzo::DumpLayout {
   std::uint64_t gen = 0;
-  enzo::DumpFormat format = enzo::DumpFormat::kUnknown;
-  enzo::DumpMeta meta;
 
-  /// grid id -> field name -> extent (every grid has all baryon fields).
-  std::map<std::uint64_t, std::map<std::string, FieldExtent>> fields;
-
-  /// One per kParticleArrays entry; empty when the dump has no particles.
-  std::vector<ParticleExtent> particles;
   std::uint64_t id_min = 0;
   std::uint64_t id_max = 0;
   std::vector<IdSample> id_samples;  ///< first, every kIdSampleStride, last
-
-  std::map<std::string, std::vector<std::byte>> attributes;
 
   const FieldExtent& field(std::uint64_t grid_id,
                            const std::string& name) const;
@@ -87,8 +59,9 @@ struct GenerationIndex {
 };
 
 /// Build the index for the dump under `gen_base` (a CheckpointSeries
-/// generation base, e.g. "series.g3").  Must run inside a simulation: all
-/// metadata and particle-ID reads are timed like any other access.  Throws
+/// generation base, e.g. "series.g3"): enzo::decode_dump, then the
+/// particle-ID ladder.  Must run inside a simulation: all metadata and
+/// particle-ID reads are timed like any other access.  Throws
 /// FormatError/IoError on a missing or malformed dump.
 GenerationIndex build_index(pfs::FileSystem& fs, const std::string& gen_base,
                             std::uint64_t gen);

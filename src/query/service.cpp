@@ -4,18 +4,13 @@
 #include <cstring>
 #include <sstream>
 
-#include "base/byte_io.hpp"
+#include "enzo/checkpoint.hpp"
 #include "fault/retry.hpp"
 #include "mpi/io/deferred_scope.hpp"
 #include "obs/profiler.hpp"
 #include "sim/engine.hpp"
 
 namespace paramrio::query {
-
-namespace {
-// "CKPT-OK!" — CheckpointSeries' commit-marker format (checkpoint.cpp).
-constexpr std::uint64_t kMarkerMagic = 0x434b50542d4f4b21ULL;
-}  // namespace
 
 Service::Service(pfs::FileSystem& fs, std::string series_base, Params params)
     : fs_(fs),
@@ -28,23 +23,20 @@ Service::Service(pfs::FileSystem& fs, std::string series_base, Params params)
 Service::~Service() = default;
 
 void Service::require_committed(std::uint64_t gen) {
-  const std::string marker =
-      series_base_ + ".g" + std::to_string(gen) + ".ok";
+  const std::string marker = enzo::marker_path(series_base_, gen);
   if (!fs_.exists(marker)) {
     throw IoError("query: generation " + std::to_string(gen) + " of '" +
                   series_base_ + "' is not committed");
   }
   int fd = fs_.open(marker, pfs::OpenMode::kRead);
-  const std::uint64_t size = fs_.size(fd);
-  if (size < 16) {
+  if (fs_.size(fd) != enzo::kCommitMarkerBytes) {
     fs_.close(fd);
     throw IoError("query: torn commit marker " + marker);
   }
-  std::vector<std::byte> raw(16);
+  std::vector<std::byte> raw(enzo::kCommitMarkerBytes);
   timed_read(fd, 0, raw);
   fs_.close(fd);
-  ByteReader r(raw);
-  if (r.u64() != kMarkerMagic || r.u64() != gen) {
+  if (!enzo::is_commit_marker(raw, gen)) {
     throw IoError("query: invalid commit marker " + marker);
   }
 }
@@ -62,7 +54,7 @@ const GenerationIndex& Service::open_generation(std::uint64_t gen) {
   st.state = GenState::S::kBuilding;
   try {
     require_committed(gen);
-    const std::string gbase = series_base_ + ".g" + std::to_string(gen);
+    const std::string gbase = enzo::generation_base(series_base_, gen);
     bool loaded = false;
     if (catalog_ != nullptr) {
       if (const std::vector<std::byte>* blob =

@@ -3,7 +3,6 @@
 // accounting.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <memory>
 #include <numeric>
 
@@ -193,24 +192,30 @@ TEST(DumpInspector, SummarisesAllThreeFormats) {
     Hdf4SerialBackend(fs).write_dump(c, sim.state(), "da");
     MpiIoBackend(fs).write_dump(c, sim.state(), "db");
     Hdf5ParallelBackend(fs).write_dump(c, sim.state(), "dc");
+    PnetcdfBackend(fs).write_dump(c, sim.state(), "dd");
     if (c.rank() != 0) return;
 
     auto a = inspect_dump(fs, "da");
     auto b = inspect_dump(fs, "db");
     auto d = inspect_dump(fs, "dc");
+    auto n = inspect_dump(fs, "dd");
     EXPECT_EQ(a.format, DumpFormat::kHdf4);
     EXPECT_EQ(b.format, DumpFormat::kMpiIo);
     EXPECT_EQ(d.format, DumpFormat::kHdf5);
+    EXPECT_EQ(n.format, DumpFormat::kPnetcdf);
     // Same simulation state: identical logical contents.
     EXPECT_EQ(a.meta.n_particles, b.meta.n_particles);
     EXPECT_EQ(b.meta.n_particles, d.meta.n_particles);
+    EXPECT_EQ(b.meta.n_particles, n.meta.n_particles);
     EXPECT_EQ(a.meta.hierarchy.grid_count(), b.meta.hierarchy.grid_count());
     EXPECT_EQ(a.datasets, b.datasets);  // same dataset schema
     EXPECT_EQ(b.datasets, d.datasets);
+    EXPECT_EQ(b.datasets, n.datasets);
     // HDF4 splits into one file per subgrid; the others are single files.
     EXPECT_EQ(a.files, a.meta.hierarchy.grid_count());  // topgrid + subgrids
     EXPECT_EQ(b.files, 1u);
     EXPECT_EQ(d.files, 1u);
+    EXPECT_EQ(n.files, 1u);
     // Byte totals agree within format overhead.
     EXPECT_NEAR(static_cast<double>(a.total_bytes),
                 static_cast<double>(b.total_bytes),
@@ -219,6 +224,35 @@ TEST(DumpInspector, SummarisesAllThreeFormats) {
     std::string report = format_summary(b, "db");
     EXPECT_NE(report.find("16x16x16"), std::string::npos);
     EXPECT_NE(report.find("particles"), std::string::npos);
+  });
+}
+
+TEST(DumpInspector, ZeroParticleDumpsCountTheSameDatasetsInEveryFormat) {
+  SimulationConfig config;
+  config.root_dims = {16, 16, 16};
+  config.particles_per_cell = 0.0;
+  config.compute_per_cell = 0.0;
+
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  mpi::Runtime rt(rparams(4));
+  rt.run([&](mpi::Comm& c) {
+    EnzoSimulation sim(c, config);
+    sim.initialize_from_universe();
+    Hdf4SerialBackend(fs).write_dump(c, sim.state(), "za");
+    MpiIoBackend(fs).write_dump(c, sim.state(), "zb");
+    Hdf5ParallelBackend(fs).write_dump(c, sim.state(), "zc");
+    PnetcdfBackend(fs).write_dump(c, sim.state(), "zd");
+    if (c.rank() != 0) return;
+    // Only the grid fields: a dump without particles has no particle
+    // datasets, whichever format stored it.
+    const std::uint64_t fields =
+        sim.state().hierarchy.grid_count() * amr::kNumBaryonFields;
+    EXPECT_GT(sim.state().hierarchy.grid_count(), 1u);
+    for (const char* base : {"za", "zb", "zc", "zd"}) {
+      const DumpSummary s = inspect_dump(fs, base);
+      EXPECT_EQ(s.meta.n_particles, 0u) << base;
+      EXPECT_EQ(s.datasets, fields) << base;
+    }
   });
 }
 
@@ -242,10 +276,7 @@ TEST(DumpInspector, MissingDumpAndMissingSubgridFileAreErrors) {
     // Remove one subgrid file: the inspector must notice.
     for (const auto& g : sim.state().hierarchy.grids()) {
       if (g.level == 0) continue;
-      char buf[32];
-      std::snprintf(buf, sizeof buf, ".grid%06llu",
-                    static_cast<unsigned long long>(g.id));
-      fs.remove(std::string("broken") + buf);
+      fs.remove(subgrid_file_name("broken", g.id));
       break;
     }
     EXPECT_THROW(inspect_dump(fs, "broken"), FormatError);

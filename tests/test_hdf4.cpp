@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "hdf4/sd_file.hpp"
 #include "pfs/local_fs.hpp"
@@ -176,6 +178,131 @@ TEST(SdFile, ManyDatasetsDirectoryOrder) {
     f.close();
   });
 }
+
+// ---------------------------------------------------------------------------
+// Malformed record headers: each length or type field a scan trusts is
+// inflated in a golden file, and the open must end in a FormatError naming
+// the file and the record — never an unbounded allocation or a scan that
+// loops back to an earlier record.
+// ---------------------------------------------------------------------------
+
+std::uint64_t load_le(const std::vector<std::byte>& b, std::uint64_t off,
+                      int n) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < n; ++i) {
+    v |= std::uint64_t{static_cast<std::uint8_t>(b[off + i])} << (8 * i);
+  }
+  return v;
+}
+
+void store_le(std::vector<std::byte>& b, std::uint64_t off, std::uint64_t v,
+              int n) {
+  for (int i = 0; i < n; ++i) {
+    b[off + i] = static_cast<std::byte>(v >> (8 * i));
+  }
+}
+
+/// An attribute, a 1-d dataset, then a 2-d dataset.
+std::vector<std::byte> golden_sdf(pfs::FileSystem& fs,
+                                  const std::string& path) {
+  sim::Engine::run(opts(1), [&](sim::Proc&) {
+    SdFile f = SdFile::create(fs, path);
+    f.write_attribute("metadata", std::vector<std::byte>(16, std::byte{7}));
+    f.write_dataset("a", NumberType::kFloat32, {4}, float_data(4));
+    f.write_dataset("b", NumberType::kFloat32, {2, 2}, float_data(4));
+    f.close();
+  });
+  std::vector<std::byte> bytes(fs.store().size(path));
+  fs.store().read_at(path, 0, bytes);
+  return bytes;
+}
+
+/// Offsets of the records, and of the first field after each record's
+/// name (the attribute's value length, a dataset's type byte).
+struct SdfRecords {
+  std::vector<std::uint64_t> at;
+  std::vector<std::uint64_t> after_name;
+};
+
+SdfRecords walk(const std::vector<std::byte>& b) {
+  SdfRecords r;
+  for (std::uint64_t pos = 8; pos < b.size();) {
+    const std::uint64_t kind = load_le(b, pos, 4);
+    const std::uint64_t hdrlen = load_le(b, pos + 4, 4);
+    const std::uint64_t body = pos + 8 + hdrlen;
+    r.at.push_back(pos);
+    r.after_name.push_back(pos + 8 + 4 + load_le(b, pos + 8, 4));
+    // Both kinds end their header with a u64: the value or data length.
+    pos = body + load_le(b, body - 8, 8);
+    if (kind != 1 && kind != 2) ADD_FAILURE() << "unexpected kind " << kind;
+  }
+  return r;
+}
+
+struct SdfDefect {
+  std::string name;
+  /// Mutates the golden bytes; returns the record offset the diagnosis
+  /// must name.
+  std::uint64_t (*mutate)(std::vector<std::byte>&, const SdfRecords&);
+};
+
+void PrintTo(const SdfDefect& d, std::ostream* os) { *os << d.name; }
+
+class SdfMalformedRecord : public ::testing::TestWithParam<SdfDefect> {};
+
+TEST_P(SdfMalformedRecord, OpenDiagnosesIt) {
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  const std::string path = "bad.sdf";
+  std::vector<std::byte> bytes = golden_sdf(fs, path);
+  const SdfRecords recs = walk(bytes);
+  ASSERT_EQ(recs.at.size(), 3u);
+  const std::uint64_t off = GetParam().mutate(bytes, recs);
+  fs.store().create(path);
+  fs.store().write_at(path, 0, bytes);
+
+  std::string error;
+  sim::Engine::run(opts(1), [&](sim::Proc&) {
+    try {
+      SdFile f = SdFile::open(fs, path);
+    } catch (const FormatError& e) {
+      error = e.what();
+    }
+  });
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+  EXPECT_NE(error.find("offset " + std::to_string(off)), std::string::npos)
+      << error;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Defects, SdfMalformedRecord,
+    ::testing::Values(
+        SdfDefect{"HugeDimCount",
+                  [](std::vector<std::byte>& b, const SdfRecords& r) {
+                    // Dataset header: name, type u8, then the u32 ndims.
+                    store_le(b, r.after_name[1] + 1, 0xFFFFFFFFu, 4);
+                    return r.at[1];
+                  }},
+        SdfDefect{"HugeAttributeLength",
+                  [](std::vector<std::byte>& b, const SdfRecords& r) {
+                    store_le(b, r.after_name[0], std::uint64_t{1} << 62, 8);
+                    return r.at[0];
+                  }},
+        SdfDefect{"DataLengthWrapsToEarlierRecord",
+                  [](std::vector<std::byte>& b, const SdfRecords& r) {
+                    // data_offset + data_bytes wraps around to record 1.
+                    const std::uint64_t body =
+                        r.at[2] + 8 + load_le(b, r.at[2] + 4, 4);
+                    store_le(b, body - 8, r.at[1] - body, 8);
+                    return r.at[2];
+                  }},
+        SdfDefect{"BadTypeByte",
+                  [](std::vector<std::byte>& b, const SdfRecords& r) {
+                    store_le(b, r.after_name[2], 9, 1);
+                    return r.at[2];
+                  }}),
+    [](const ::testing::TestParamInfo<SdfDefect>& info) {
+      return info.param.name;
+    });
 
 }  // namespace
 }  // namespace paramrio::hdf4

@@ -13,6 +13,10 @@
 //   * Catalog: generation indexes persist through mdms::Catalog (load path
 //     serves a fresh service without re-inspecting the dump), survive
 //     save/load, honour tombstones, and v1 catalog files still load.
+//   * Commit markers and malformed dumps: the service accepts exactly the
+//     generations CheckpointSeries calls committed, and diagnoses a
+//     malformed dump or index blob with a FormatError, as inspect_dump and
+//     the restart do.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -619,6 +623,31 @@ TEST(QueryCatalog, VersionOneCatalogFilesStillLoad) {
 // Commit-marker discipline: only committed generations are served.
 // ---------------------------------------------------------------------------
 
+TEST(QueryService, OverlongCommitMarkerIsRejectedLikeTheSeries) {
+  platform::Testbed tb(platform::chiba_pvfs_ethernet(), kProcs);
+  query::Service svc(tb.fs(), kSeries, query::Service::Params{});
+  tb.runtime().run([&](mpi::Comm& c) {
+    auto backend = make_backend(Kind::kMpiIo, tb.fs());
+    enzo::EnzoSimulation sim(c, workload());
+    sim.initialize_from_universe();
+    enzo::CheckpointSeries series(*backend, tb.fs(), kSeries);
+    series.dump(c, sim.state(), 0);
+    c.barrier();
+    if (c.rank() == 0) {
+      EXPECT_TRUE(series.committed(0));
+      // One byte appended to a valid marker: neither the series' restore
+      // nor the query service may take generation 0 as committed.
+      tb.fs().store().write_at(series.marker_path(0),
+                               enzo::kCommitMarkerBytes,
+                               std::vector<std::byte>(1));
+      tb.fs().drop_caches();
+      EXPECT_FALSE(series.committed(0));
+      EXPECT_THROW(svc.metadata(0), IoError);
+    }
+    c.barrier();
+  });
+}
+
 TEST(QueryService, UncommittedAndTornGenerationsAreRejected) {
   platform::Testbed tb(platform::chiba_pvfs_ethernet(), kProcs);
   query::Service svc(tb.fs(), kSeries, query::Service::Params{});
@@ -648,6 +677,66 @@ TEST(QueryService, UncommittedAndTornGenerationsAreRejected) {
     }
     c.barrier();
   });
+}
+
+// ---------------------------------------------------------------------------
+// Malformed dumps and index blobs: inspect_dump, the index and the restart
+// share one decoder per format, so they diagnose a defect the same way.
+// ---------------------------------------------------------------------------
+
+TEST(QueryService, MissingHdf4SubgridFileIsAFormatError) {
+  platform::Testbed tb(platform::chiba_pvfs_ethernet(), kProcs);
+  query::Service svc(tb.fs(), kSeries, query::Service::Params{});
+  tb.runtime().run([&](mpi::Comm& c) {
+    auto backend = make_backend(Kind::kHdf4, tb.fs());
+    enzo::EnzoSimulation sim(c, workload());
+    sim.initialize_from_universe();
+    enzo::CheckpointSeries series(*backend, tb.fs(), kSeries);
+    series.dump(c, sim.state(), 0);
+    c.barrier();
+    if (c.rank() == 0) {
+      const std::string base = series.gen_base(0);
+      bool removed = false;
+      for (const amr::GridDescriptor& g : sim.state().hierarchy.grids()) {
+        if (g.level == 0 || removed) continue;
+        tb.fs().remove(enzo::subgrid_file_name(base, g.id));
+        removed = true;
+      }
+      EXPECT_TRUE(removed);
+      EXPECT_THROW(enzo::inspect_dump(tb.fs(), base), FormatError);
+      EXPECT_THROW(svc.open_generation(0), FormatError);
+    }
+    c.barrier();
+  });
+}
+
+TEST(QueryIndex, InflatedMpiioHeaderIsAFormatError) {
+  platform::Testbed tb(platform::chiba_pvfs_ethernet(), kProcs);
+  tb.runtime().run([&](mpi::Comm& c) {
+    enzo::MpiIoBackend backend(tb.fs());
+    enzo::EnzoSimulation sim(c, workload());
+    sim.initialize_from_universe();
+    backend.write_dump(c, sim.state(), "inflated");
+    c.barrier();
+    if (c.rank() == 0) {
+      // The header's second u64 is the metadata length.
+      ByteWriter w;
+      w.u64(std::uint64_t{1} << 62);
+      tb.fs().store().write_at("inflated.enzo", 8, w.take());
+      tb.fs().drop_caches();
+      EXPECT_THROW(query::build_index(tb.fs(), "inflated", 0), FormatError);
+    }
+    c.barrier();
+    enzo::EnzoSimulation fresh(c, workload());
+    EXPECT_THROW(backend.read_restart(c, fresh.state(), "inflated"),
+                 FormatError);
+  });
+}
+
+TEST(QueryIndex, BlobWithUnknownDumpFormatIsRejected) {
+  std::vector<std::byte> blob = query::GenerationIndex{}.serialize();
+  blob[16] = std::byte{9};  // after magic u32, version u32, gen u64
+  EXPECT_THROW(query::GenerationIndex::deserialize(blob), FormatError);
 }
 
 }  // namespace
