@@ -156,7 +156,7 @@ MpiioSharedLayout build_mpiio_layout(
 
 std::vector<std::byte> read_mpiio_header(const std::string& path,
                                          std::uint64_t size,
-                                         const ReadAt& read) {
+                                         const pfs::ReadAt& read) {
   if (size < 16) throw FormatError(path + ": too short for an MPI-IO dump");
   std::vector<std::byte> fixed(16);
   read(0, fixed);

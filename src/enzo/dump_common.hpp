@@ -17,6 +17,7 @@
 #include "amr/hierarchy.hpp"
 #include "enzo/state.hpp"
 #include "mpi/comm.hpp"
+#include "pfs/filesystem.hpp"
 
 namespace paramrio::enzo {
 
@@ -100,16 +101,12 @@ constexpr std::uint64_t kMpiioDumpMagic = 0x4F5A4E45504D5244ULL;  // "DRMPENZO"
 MpiioSharedLayout build_mpiio_layout(
     const DumpMeta& meta, const std::array<std::uint64_t, 3>& root_dims);
 
-/// Reads `n` bytes at an offset of one open file, through whichever
-/// interface (and clock) the caller uses.
-using ReadAt = std::function<void(std::uint64_t, std::span<std::byte>)>;
-
 /// Decode the MPI-IO dump header of `path` (`size` bytes long) and return
 /// the serialized DumpMeta it carries.  Throws FormatError naming `path` on
 /// a bad magic or a metadata length past the end of the file.
 std::vector<std::byte> read_mpiio_header(const std::string& path,
                                          std::uint64_t size,
-                                         const ReadAt& read);
+                                         const pfs::ReadAt& read);
 
 /// Processor grid used to partition grid `g` among up to `nprocs` ranks:
 /// the global processor grid with each axis capped at the grid's cell count

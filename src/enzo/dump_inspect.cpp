@@ -1,5 +1,6 @@
 #include "enzo/dump_inspect.hpp"
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 
@@ -43,24 +44,27 @@ std::array<std::uint64_t, 3> dims3(const std::vector<std::uint64_t>& d,
   return {d[0], d[1], d[2]};
 }
 
-/// Grid `id`'s baryon fields, one SDS each in the HDF4 file `f`.
-void add_sds_fields(DumpLayout& l, std::uint64_t id, const hdf4::SdFile& f,
-                    const std::string& path) {
-  auto& gf = l.fields[id];
+using GridFields = std::map<std::string, FieldExtent>;
+
+/// A grid's baryon fields, one SDS each in the HDF4 file `dir`.
+GridFields sds_fields(const hdf4::SdDirectory& dir) {
+  GridFields gf;
   for (const std::string& name : amr::baryon_field_names()) {
-    const hdf4::SdsInfo& i = f.info(name);
-    gf[name] = FieldExtent{path, i.data_offset, i.data_bytes,
-                           dims3(i.dims, path + ":" + name)};
+    const hdf4::SdsInfo& i = dir.info(name);
+    gf[name] = FieldExtent{dir.path, i.data_offset, i.data_bytes,
+                           dims3(i.dims, dir.path + ":" + name)};
   }
+  return gf;
 }
 
-void decode_hdf4(pfs::FileSystem& fs, const std::string& base,
-                 DumpLayout& l) {
+/// The head lives in the ".topgrid" file; every subgrid file must exist.
+void decode_hdf4_head(pfs::FileSystem& fs, const std::string& base,
+                      DumpLayout& l) {
   const std::string top_path = base + ".topgrid";
   hdf4::SdFile top = hdf4::SdFile::open(fs, top_path);
   l.attributes["metadata"] = top.read_attribute("metadata");
   l.meta = DumpMeta::deserialize(l.attributes["metadata"]);
-  add_sds_fields(l, l.meta.hierarchy.root().id, top, top_path);
+  l.fields.emplace(l.meta.hierarchy.root().id, sds_fields(top.directory()));
   if (l.meta.n_particles > 0) {
     for (const ParticleArraySpec& a : kParticleArrays) {
       l.particles.push_back(
@@ -74,9 +78,6 @@ void decode_hdf4(pfs::FileSystem& fs, const std::string& base,
     if (!fs.exists(path)) {
       throw FormatError("dump " + base + ": missing subgrid file " + path);
     }
-    hdf4::SdFile sub = hdf4::SdFile::open(fs, path);
-    add_sds_fields(l, g.id, sub, path);
-    sub.close();
   }
 }
 
@@ -88,7 +89,7 @@ void decode_mpiio(pfs::FileSystem& fs, const std::string& base,
     l.attributes["metadata"] = read_mpiio_header(
         path, fs.size(fd),
         [&](std::uint64_t off, std::span<std::byte> out) {
-          fs.read_at(fd, off, out);
+          fs.read_exact(fd, off, out);
         });
   } catch (...) {
     fs.close(fd);
@@ -125,41 +126,42 @@ struct Located {
   std::vector<std::uint64_t> dims;
 };
 
+/// Finds a dataset among those an HDF5 chain walk has passed.
+struct WalkedLocator {
+  const std::map<std::string, hdf5::DatasetInfo>& walked;
+  Located operator()(const std::string& name) const {
+    const hdf5::DatasetInfo& i = walked.at(name);
+    return Located{i.data_addr, i.data_bytes, i.dims};
+  }
+};
+
+std::string group_of(const amr::GridDescriptor& g) {
+  return g.level == 0 ? std::string("topgrid/") : subgrid_group(g.id);
+}
+
 /// The HDF5 / PnetCDF schema: every dataset of `path` is named
 /// "<group><array>", and `locate(name)` finds it.
 template <typename Locate>
-void add_named_extents(DumpLayout& l, const std::string& path,
-                       Locate locate) {
-  for (const amr::GridDescriptor& g : l.meta.hierarchy.grids()) {
-    const std::string group =
-        g.level == 0 ? std::string("topgrid/") : subgrid_group(g.id);
-    auto& gf = l.fields[g.id];
-    for (const std::string& name : amr::baryon_field_names()) {
-      const Located x = locate(group + name);
-      gf[name] = FieldExtent{path, x.offset, x.bytes,
-                             dims3(x.dims, path + ":" + group + name)};
-    }
+GridFields named_fields(const std::string& path, const amr::GridDescriptor& g,
+                        Locate locate) {
+  const std::string group = group_of(g);
+  GridFields gf;
+  for (const std::string& name : amr::baryon_field_names()) {
+    const Located x = locate(group + name);
+    gf[name] = FieldExtent{path, x.offset, x.bytes,
+                           dims3(x.dims, path + ":" + group + name)};
   }
-  if (l.meta.n_particles > 0) {
-    for (const ParticleArraySpec& a : kParticleArrays) {
-      l.particles.push_back(ParticleExtent{
-          path, locate(std::string("topgrid/") + a.name).offset,
-          a.elem_size});
-    }
-  }
+  return gf;
 }
 
-void decode_hdf5(pfs::FileSystem& fs, const std::string& base,
-                 DumpLayout& l) {
-  const std::string path = base + ".h5";
-  hdf5::H5File h = hdf5::H5File::open(fs, path);
-  l.attributes["metadata"] = h.read_attribute("metadata");
-  l.meta = DumpMeta::deserialize(l.attributes["metadata"]);
-  add_named_extents(l, path, [&](const std::string& name) {
-    const hdf5::DatasetInfo& i = h.open_dataset(name).info();
-    return Located{i.data_addr, i.data_bytes, i.dims};
-  });
-  h.close();
+template <typename Locate>
+void add_named_particles(DumpLayout& l, const std::string& path,
+                         Locate locate) {
+  if (l.meta.n_particles == 0) return;
+  for (const ParticleArraySpec& a : kParticleArrays) {
+    l.particles.push_back(ParticleExtent{
+        path, locate(std::string("topgrid/") + a.name).offset, a.elem_size});
+  }
 }
 
 void decode_pnetcdf(pfs::FileSystem& fs, const std::string& base,
@@ -172,7 +174,7 @@ void decode_pnetcdf(pfs::FileSystem& fs, const std::string& base,
   }
   l.meta = DumpMeta::deserialize(it->second);
   l.attributes = h.atts;
-  add_named_extents(l, path, [&](const std::string& name) {
+  auto locate = [&](const std::string& name) {
     const pnetcdf::Var* v = h.find_var(name);
     if (v == nullptr) throw FormatError(path + ": missing variable " + name);
     Located x{v->offset, v->bytes, {}};
@@ -180,30 +182,166 @@ void decode_pnetcdf(pfs::FileSystem& fs, const std::string& base,
       x.dims.push_back(h.dims[static_cast<std::size_t>(id)].length);
     }
     return x;
-  });
+  };
+  for (const amr::GridDescriptor& g : l.meta.hierarchy.grids()) {
+    l.fields.emplace(g.id, named_fields(path, g, locate));
+  }
+  add_named_particles(l, path, locate);
 }
 
 }  // namespace
 
-DumpLayout decode_dump(pfs::FileSystem& fs, const std::string& base) {
-  DumpLayout l;
-  l.format = detect_dump_format(fs, base);
-  switch (l.format) {
+DumpDecoder::DumpDecoder(std::string base, DumpFormat format)
+    : base_(std::move(base)), format_(format) {}
+
+void DumpDecoder::decode_head(pfs::FileSystem& fs, DumpLayout& l) {
+  l.format = format_;
+  switch (format_) {
     case DumpFormat::kHdf4:
-      decode_hdf4(fs, base, l);
-      break;
+      decode_hdf4_head(fs, base_, l);
+      return;
     case DumpFormat::kMpiIo:
-      decode_mpiio(fs, base, l);
-      break;
-    case DumpFormat::kHdf5:
-      decode_hdf5(fs, base, l);
-      break;
+      decode_mpiio(fs, base_, l);
+      return;
     case DumpFormat::kPnetcdf:
-      decode_pnetcdf(fs, base, l);
+      decode_pnetcdf(fs, base_, l);
+      return;
+    case DumpFormat::kHdf5:
       break;
     case DumpFormat::kUnknown:
-      throw IoError("no dump found under base name '" + base + "'");
+      throw IoError("no dump found under base name '" + base_ + "'");
   }
+  // HDF5: the metadata attribute leads the chain and names the rest of the
+  // head, which the walk then reaches in creation order.
+  const std::string path = base_ + ".h5";
+  const int fd = fs.open(path, pfs::OpenMode::kRead);
+  const std::uint64_t size = fs.size(fd);
+  const pfs::ReadAt read = [&](std::uint64_t off, std::span<std::byte> out) {
+    fs.read_exact(fd, off, out);
+  };
+  try {
+    walk_to("metadata", true, size, read);
+    l.attributes["metadata"] = walked_attributes_.at("metadata");
+    l.meta = DumpMeta::deserialize(l.attributes["metadata"]);
+    const amr::GridDescriptor& root = l.meta.hierarchy.root();
+    for (const std::string& name : amr::baryon_field_names()) {
+      walk_to(group_of(root) + name, false, size, read);
+    }
+    if (l.meta.n_particles > 0) {
+      for (const ParticleArraySpec& a : kParticleArrays) {
+        walk_to(std::string("topgrid/") + a.name, false, size, read);
+      }
+    }
+  } catch (...) {
+    fs.close(fd);
+    throw;
+  }
+  fs.close(fd);
+  const amr::GridDescriptor& root = l.meta.hierarchy.root();
+  l.fields.emplace(root.id, named_fields(path, root, WalkedLocator{walked_}));
+  add_named_particles(l, path, WalkedLocator{walked_});
+}
+
+std::string DumpDecoder::step_path(std::uint64_t id) const {
+  switch (format_) {
+    case DumpFormat::kHdf4:
+      return subgrid_file_name(base_, id);
+    case DumpFormat::kHdf5:
+      return base_ + ".h5";
+    default:  // the head holds every grid: a layout without one is bad
+      throw FormatError("dump " + base_ + ": grid " + std::to_string(id) +
+                        " is missing from its " + to_string(format_) +
+                        " layout");
+  }
+}
+
+void DumpDecoder::walk_to(const std::string& name, bool attribute,
+                          std::uint64_t size, const pfs::ReadAt& read) {
+  const std::string path = base_ + ".h5";
+  if (!walk_) walk_.emplace(hdf5::ChainWalk::open(path, size, read));
+  auto passed = [&] {
+    return attribute ? walked_attributes_.count(name) > 0
+                     : walked_.count(name) > 0;
+  };
+  while (!passed()) {
+    if (walk_->done()) {
+      throw FormatError(path + ": the record chain has no " +
+                        (attribute ? "attribute " : "dataset ") + name);
+    }
+    hdf5::ChainWalk::Record rec = walk_->next(read);
+    if (rec.is_dataset) {
+      std::string n = rec.dataset.name;
+      walked_.insert_or_assign(std::move(n), std::move(rec.dataset));
+    } else {
+      walked_attributes_.insert_or_assign(std::move(rec.attribute),
+                                          std::move(rec.value));
+    }
+  }
+}
+
+std::vector<std::uint64_t> DumpDecoder::step(DumpLayout& l, std::uint64_t id,
+                                             std::uint64_t size,
+                                             const pfs::ReadAt& read) {
+  const std::string path = step_path(id);
+  if (format_ == DumpFormat::kHdf4) {
+    GridFields gf = sds_fields(hdf4::scan_directory(path, size, read));
+    if (!l.fields.emplace(id, std::move(gf)).second) return {};
+    return {id};
+  }
+  const std::string group = subgrid_group(id);
+  for (const std::string& name : amr::baryon_field_names()) {
+    walk_to(group + name, false, size, read);
+  }
+  // Add every subgrid the walk has fully passed, this one included.
+  const auto& names = amr::baryon_field_names();
+  std::vector<std::pair<std::uint64_t, GridFields>> passed;
+  for (const amr::GridDescriptor& g : l.meta.hierarchy.grids()) {
+    if (g.level == 0 || l.fields.count(g.id) > 0) continue;
+    const std::string gg = subgrid_group(g.id);
+    if (std::all_of(names.begin(), names.end(), [&](const std::string& n) {
+          return walked_.count(gg + n) > 0;
+        })) {
+      passed.emplace_back(g.id,
+                          named_fields(path, g, WalkedLocator{walked_}));
+    }
+  }
+  std::vector<std::uint64_t> added;
+  for (auto& [gid, gf] : passed) {
+    l.fields.emplace(gid, std::move(gf));
+    added.push_back(gid);
+  }
+  return added;
+}
+
+DumpLayout decode_dump(pfs::FileSystem& fs, const std::string& base) {
+  DumpDecoder dec(base, detect_dump_format(fs, base));
+  DumpLayout l;
+  dec.decode_head(fs, l);
+  std::string path;
+  int fd = -1;
+  auto close = [&] {
+    if (fd >= 0) fs.close(fd);
+    fd = -1;
+  };
+  try {
+    for (const amr::GridDescriptor& g : l.meta.hierarchy.grids()) {
+      if (l.fields.count(g.id) > 0) continue;
+      const std::string step_path = dec.step_path(g.id);
+      if (step_path != path) {
+        close();
+        path = step_path;
+        fd = fs.open(path, pfs::OpenMode::kRead);
+      }
+      dec.step(l, g.id, fs.size(fd),
+               [&](std::uint64_t off, std::span<std::byte> out) {
+                 fs.read_exact(fd, off, out);
+               });
+    }
+  } catch (...) {
+    close();
+    throw;
+  }
+  close();
   return l;
 }
 

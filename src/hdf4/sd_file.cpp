@@ -8,10 +8,10 @@ constexpr std::uint32_t kVersion = 1;
 constexpr std::uint32_t kKindDataset = 1;
 constexpr std::uint32_t kKindAttribute = 2;
 
-std::vector<std::byte> read_exact(pfs::FileSystem& fs, int fd,
-                                  std::uint64_t off, std::uint64_t n) {
+std::vector<std::byte> read_bytes(const pfs::ReadAt& read, std::uint64_t off,
+                                  std::uint64_t n) {
   std::vector<std::byte> buf(n);
-  fs.read_at(fd, off, buf);
+  read(off, buf);
   return buf;
 }
 }  // namespace
@@ -31,7 +31,7 @@ std::uint64_t element_size(NumberType t) {
 SdFile SdFile::create(pfs::FileSystem& fs, const std::string& path) {
   SdFile f;
   f.fs_ = &fs;
-  f.path_ = path;
+  f.dir_.path = path;
   f.fd_ = fs.open(path, pfs::OpenMode::kCreate);
   f.writable_ = true;
   f.open_ = true;
@@ -47,11 +47,14 @@ SdFile SdFile::create(pfs::FileSystem& fs, const std::string& path) {
 SdFile SdFile::open(pfs::FileSystem& fs, const std::string& path) {
   SdFile f;
   f.fs_ = &fs;
-  f.path_ = path;
   f.fd_ = fs.open(path, pfs::OpenMode::kRead);
   f.writable_ = false;
   f.open_ = true;
-  f.scan();
+  f.append_pos_ = fs.size(f.fd_);
+  f.dir_ = scan_directory(path, f.append_pos_,
+                          [&](std::uint64_t off, std::span<std::byte> out) {
+                            fs.read_exact(f.fd_, off, out);
+                          });
   return f;
 }
 
@@ -65,35 +68,35 @@ void SdFile::close() {
   open_ = false;
 }
 
-void SdFile::scan() {
-  std::uint64_t size = fs_->size(fd_);
-  if (size < 8) throw FormatError(path_ + ": too short for an SDF file");
+SdDirectory scan_directory(const std::string& path, std::uint64_t size,
+                           const pfs::ReadAt& read) {
+  SdDirectory dir;
+  dir.path = path;
+  if (size < 8) throw FormatError(path + ": too short for an SDF file");
   {
-    auto hdr = read_exact(*fs_, fd_, 0, 8);
+    auto hdr = read_bytes(read, 0, 8);
     ByteReader r(hdr);
-    if (r.u32() != kMagic) throw FormatError(path_ + ": bad SDF magic");
-    if (r.u32() != kVersion) throw FormatError(path_ + ": bad SDF version");
+    if (r.u32() != kMagic) throw FormatError(path + ": bad SDF magic");
+    if (r.u32() != kVersion) throw FormatError(path + ": bad SDF version");
   }
   std::uint64_t pos = 8;
+  auto malformed = [&](const std::string& what) {
+    return FormatError(path + ": " + what + " in the record at offset " +
+                       std::to_string(pos));
+  };
   while (pos < size) {
-    if (pos + 8 > size) throw FormatError(path_ + ": truncated record");
-    auto fixed = read_exact(*fs_, fd_, pos, 8);
+    if (pos + 8 > size) throw malformed("truncated fixed part");
+    auto fixed = read_bytes(read, pos, 8);
     ByteReader fr(fixed);
     std::uint32_t kind = fr.u32();
     std::uint32_t hdrlen = fr.u32();
-    if (pos + 8 + hdrlen > size) {
-      throw FormatError(path_ + ": truncated record header");
-    }
-    auto hdr = read_exact(*fs_, fd_, pos + 8, hdrlen);
+    if (pos + 8 + hdrlen > size) throw malformed("truncated header");
+    auto hdr = read_bytes(read, pos + 8, hdrlen);
     ByteReader r(hdr);
     // Every length below is checked against what is left before it sizes a
     // buffer or moves `pos`, so a record can never reach past the file or
     // send the scan back to an earlier record.
     const std::uint64_t body = pos + 8 + hdrlen;
-    auto malformed = [&](const std::string& what) {
-      return FormatError(path_ + ": " + what + " in the record at offset " +
-                         std::to_string(pos));
-    };
     if (kind == kKindDataset) {
       SdsInfo info;
       info.name = r.str();
@@ -114,8 +117,8 @@ void SdFile::scan() {
         throw malformed("dataset of " + std::to_string(info.data_bytes) +
                         " bytes overruns the file");
       }
-      index_[info.name] = datasets_.size();
-      datasets_.push_back(info);
+      dir.index[info.name] = dir.datasets.size();
+      dir.datasets.push_back(info);
       pos = info.data_offset + info.data_bytes;
     } else if (kind == kKindAttribute) {
       std::string name = r.str();
@@ -124,22 +127,28 @@ void SdFile::scan() {
         throw malformed("attribute of " + std::to_string(nbytes) +
                         " bytes overruns the file");
       }
-      auto value = read_exact(*fs_, fd_, body, nbytes);
-      attributes_[name] = std::move(value);
+      dir.attributes[name] = read_bytes(read, body, nbytes);
       pos = body + nbytes;
     } else {
-      throw FormatError(path_ + ": unknown record kind " +
-                        std::to_string(kind));
+      throw malformed("unknown record kind " + std::to_string(kind));
     }
   }
-  append_pos_ = size;
+  return dir;
+}
+
+const SdsInfo& SdDirectory::info(const std::string& name) const {
+  auto it = index.find(name);
+  if (it == index.end()) {
+    throw IoError("SdFile: no dataset " + name + " in " + path);
+  }
+  return datasets[it->second];
 }
 
 void SdFile::write_dataset(const std::string& name, NumberType type,
                            const std::vector<std::uint64_t>& dims,
                            std::span<const std::byte> data) {
   PARAMRIO_REQUIRE(open_ && writable_, "SdFile: not open for writing");
-  PARAMRIO_REQUIRE(index_.find(name) == index_.end(),
+  PARAMRIO_REQUIRE(dir_.index.find(name) == dir_.index.end(),
                    "SdFile: duplicate dataset " + name);
   SdsInfo info;
   info.name = name;
@@ -167,8 +176,8 @@ void SdFile::write_dataset(const std::string& name, NumberType type,
   info.data_offset = append_pos_ + rec.size();
   fs_->write_at(fd_, info.data_offset, data);
   append_pos_ = info.data_offset + data.size();
-  index_[name] = datasets_.size();
-  datasets_.push_back(std::move(info));
+  dir_.index[name] = dir_.datasets.size();
+  dir_.datasets.push_back(std::move(info));
 }
 
 void SdFile::read_dataset(const std::string& name,
@@ -176,7 +185,7 @@ void SdFile::read_dataset(const std::string& name,
   const SdsInfo& i = info(name);
   PARAMRIO_REQUIRE(out.size() == i.data_bytes,
                    "SdFile: buffer size mismatch for " + name);
-  fs_->read_at(fd_, i.data_offset, out);
+  fs_->read_exact(fd_, i.data_offset, out);
 }
 
 void SdFile::write_attribute(const std::string& name,
@@ -194,33 +203,29 @@ void SdFile::write_attribute(const std::string& name,
   auto rec = fw.take();
   fs_->write_at(fd_, append_pos_, rec);
   append_pos_ += rec.size();
-  attributes_[name].assign(value.begin(), value.end());
+  dir_.attributes[name].assign(value.begin(), value.end());
 }
 
 std::vector<std::byte> SdFile::read_attribute(const std::string& name) const {
-  auto it = attributes_.find(name);
-  if (it == attributes_.end()) {
-    throw IoError("SdFile: no attribute " + name + " in " + path_);
+  auto it = dir_.attributes.find(name);
+  if (it == dir_.attributes.end()) {
+    throw IoError("SdFile: no attribute " + name + " in " + dir_.path);
   }
   return it->second;
 }
 
 bool SdFile::has_dataset(const std::string& name) const {
-  return index_.find(name) != index_.end();
+  return dir_.index.find(name) != dir_.index.end();
 }
 
 const SdsInfo& SdFile::info(const std::string& name) const {
-  auto it = index_.find(name);
-  if (it == index_.end()) {
-    throw IoError("SdFile: no dataset " + name + " in " + path_);
-  }
-  return datasets_[it->second];
+  return dir_.info(name);
 }
 
 std::vector<std::string> SdFile::dataset_names() const {
   std::vector<std::string> names;
-  names.reserve(datasets_.size());
-  for (const auto& d : datasets_) names.push_back(d.name);
+  names.reserve(dir_.datasets.size());
+  for (const auto& d : dir_.datasets) names.push_back(d.name);
   return names;
 }
 

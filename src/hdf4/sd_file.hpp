@@ -5,7 +5,8 @@
 // named n-dimensional arrays (SDS) plus small named attributes.  The on-disk
 // layout is a linear sequence of self-describing records; opening a file
 // scans the record headers (several small reads, as a 2002 SD-interface
-// open would) to build the in-memory directory.
+// open would) to build the in-memory directory.  scan_directory is that
+// scan over any read callable, so a caller can time and retry its reads.
 //
 // This library has no parallel facilities by design; the application-level
 // consequence (processor 0 gathers and writes everything) is implemented in
@@ -47,6 +48,25 @@ struct SdsInfo {
   }
 };
 
+/// An SDF file's directory, as a scan of its records finds it.
+struct SdDirectory {
+  std::string path;
+  std::vector<SdsInfo> datasets;               ///< creation order
+  std::map<std::string, std::size_t> index;    ///< name -> datasets idx
+  std::map<std::string, std::vector<std::byte>> attributes;
+
+  /// Throws IoError when the file has no dataset `name`.
+  const SdsInfo& info(const std::string& name) const;
+};
+
+/// Scan the records of the SDF file `path` (`size` bytes long), reading
+/// through `read`: the 8-byte file header, then per record its 8-byte fixed
+/// part, its header and an attribute's value — the reads SdFile::open
+/// issues.  Throws FormatError naming `path` and the offset of a malformed
+/// record.
+SdDirectory scan_directory(const std::string& path, std::uint64_t size,
+                           const pfs::ReadAt& read);
+
 class SdFile {
  public:
   /// Create/truncate a file for writing.
@@ -60,14 +80,11 @@ class SdFile {
     if (this != &other) {
       if (open_) fs_->close(fd_);
       fs_ = other.fs_;
-      path_ = std::move(other.path_);
       fd_ = other.fd_;
       writable_ = other.writable_;
       open_ = other.open_;
       append_pos_ = other.append_pos_;
-      datasets_ = std::move(other.datasets_);
-      index_ = std::move(other.index_);
-      attributes_ = std::move(other.attributes_);
+      dir_ = std::move(other.dir_);
       other.open_ = false;  // source no longer owns the descriptor
     }
     return *this;
@@ -91,23 +108,20 @@ class SdFile {
 
   bool has_dataset(const std::string& name) const;
   const SdsInfo& info(const std::string& name) const;
+  const SdDirectory& directory() const { return dir_; }
   std::vector<std::string> dataset_names() const;  ///< in creation order
 
   void close();
 
  private:
   SdFile() = default;
-  void scan();
 
   pfs::FileSystem* fs_ = nullptr;
-  std::string path_;
   int fd_ = -1;
   bool writable_ = false;
   bool open_ = false;
   std::uint64_t append_pos_ = 0;
-  std::vector<SdsInfo> datasets_;                    // creation order
-  std::map<std::string, std::size_t> index_;         // name -> datasets_ idx
-  std::map<std::string, std::vector<std::byte>> attributes_;
+  SdDirectory dir_;
 };
 
 }  // namespace paramrio::hdf4

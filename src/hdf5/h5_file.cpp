@@ -33,6 +33,28 @@ bool header_fits(std::uint64_t pos, std::uint32_t hdrlen,
                  std::uint64_t fsize) {
   return hdrlen <= fsize - pos - kRecordFixedSize;
 }
+
+/// The record at `pos` (whose fixed part fits in the file): its fixed part
+/// and, when it fits too, its header.  One speculative read fetches both
+/// unless the header is longer; a header that would run past EOF is not
+/// read, since the fixed part alone lets the decoder name the bad length.
+std::vector<std::byte> read_record(const pfs::ReadAt& read, std::uint64_t pos,
+                                   std::uint64_t fsize) {
+  std::vector<std::byte> rec(std::min(kSpeculativeRead, fsize - pos));
+  read(pos, rec);
+  ByteReader fr(rec);
+  fr.skip(4);  // kind: the decoder checks it
+  const std::uint32_t hdrlen = fr.u32();
+  const std::size_t len =
+      kRecordFixedSize + (header_fits(pos, hdrlen, fsize) ? hdrlen : 0);
+  if (len > rec.size()) {
+    const std::size_t have = rec.size();
+    rec.resize(len);
+    read(pos + have, std::span(rec).subspan(have));
+  }
+  rec.resize(len);
+  return rec;
+}
 }  // namespace
 
 std::uint64_t element_size(NumberType t) {
@@ -56,7 +78,7 @@ void H5File::raw_read(std::uint64_t off, std::span<std::byte> out) {
     pio_->set_view(0);
     pio_->read_at(off, out);
   } else {
-    fs_->read_at(fd_, off, out);
+    fs_->read_exact(fd_, off, out);
   }
 }
 
@@ -195,98 +217,124 @@ std::vector<std::byte> H5File::read_metadata(std::uint64_t fsize) {
   sr.skip(8);  // allocation end
   std::uint64_t pos = sr.u64();
   std::uint64_t end = kSuperblockSize;
+  const pfs::ReadAt read = [this](std::uint64_t off,
+                                  std::span<std::byte> out) {
+    raw_read(off, out);
+  };
   while (pos != 0 && link_ok(end, pos, fsize)) {
-    std::vector<std::byte> rec(std::min(kSpeculativeRead, fsize - pos));
-    raw_read(pos, rec);
+    const std::vector<std::byte> rec = read_record(read, pos, fsize);
+    meta.insert(meta.end(), rec.begin(), rec.end());
     ByteReader fr(rec);
     fr.skip(4);  // kind: the decoder checks it
     const std::uint32_t hdrlen = fr.u32();
-    const std::uint64_t next = fr.u64();
-    // A header that would run past EOF is not read: the fixed part alone
-    // lets the decoder name the bad length.
-    const bool fits = header_fits(pos, hdrlen, fsize);
-    const std::size_t len = kRecordFixedSize + (fits ? hdrlen : 0);
-    if (len > rec.size()) {
-      const std::size_t have = rec.size();
-      rec.resize(len);
-      raw_read(pos + have, std::span(rec).subspan(have));
-    }
-    meta.insert(meta.end(), rec.begin(),
-                rec.begin() + static_cast<std::ptrdiff_t>(len));
-    if (!fits) break;
-    end = pos + len;
-    pos = next;
+    if (!header_fits(pos, hdrlen, fsize)) break;
+    end = pos + rec.size();
+    pos = fr.u64();
   }
   return meta;
 }
 
 void H5File::decode_metadata(std::span<const std::byte> meta,
                              std::uint64_t fsize) {
-  if (meta.size() < kSuperblockSize) {
+  ByteReader r(meta);
+  ChainWalk walk(path_, fsize, r);
+  while (!walk.done()) {
+    ChainWalk::Record rec = walk.decode(r);
+    if (rec.is_dataset) {
+      index_[rec.dataset.name] = datasets_.size();
+      datasets_.push_back(std::move(rec.dataset));
+    } else {
+      attributes_[rec.attribute] = std::move(rec.value);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Record-chain walk
+// ---------------------------------------------------------------------------
+
+ChainWalk::ChainWalk(std::string path, std::uint64_t fsize, ByteReader& r)
+    : path_(std::move(path)), fsize_(fsize), end_(kSuperblockSize) {
+  if (r.remaining() < kSuperblockSize) {
     throw FormatError(path_ + ": too short for a PH5 file");
   }
-  ByteReader r(meta);
   if (r.u32() != kMagic) throw FormatError(path_ + ": bad PH5 magic");
   if (r.u32() != kVersion) throw FormatError(path_ + ": bad PH5 version");
-  r.skip(8);                    // allocation end: only writers need it
-  std::uint64_t pos = r.u64();  // first record (0 = empty file)
-  r.skip(8);                    // reserved
-  std::uint64_t at = 0;  // the superblock or record holding the link to pos
-  std::uint64_t end = kSuperblockSize;
-  auto fail = [&](std::uint64_t off, const std::string& what) {
-    throw FormatError(path_ + ": PH5 record at offset " + std::to_string(off) +
-                      ": " + what);
+  r.skip(8);       // allocation end: only writers need it
+  pos_ = r.u64();  // first record (0 = empty file)
+  r.skip(8);       // reserved
+}
+
+ChainWalk ChainWalk::open(std::string path, std::uint64_t fsize,
+                          const pfs::ReadAt& read) {
+  std::vector<std::byte> sb(std::min(fsize, kSuperblockSize));
+  read(0, sb);
+  ByteReader r(sb);
+  return ChainWalk(std::move(path), fsize, r);
+}
+
+void ChainWalk::check_link() const {
+  if (link_ok(end_, pos_, fsize_)) return;
+  throw FormatError(
+      path_ + ": PH5 record at offset " + std::to_string(at_) +
+      ": next record " + std::to_string(pos_) +
+      (pos_ < end_ ? " does not move forward (ends at " +
+                         std::to_string(end_) + ")"
+                   : " runs past end of file (" + std::to_string(fsize_) +
+                         " bytes)"));
+}
+
+ChainWalk::Record ChainWalk::next(const pfs::ReadAt& read) {
+  check_link();  // before reading: a bad link may point past the file
+  const std::vector<std::byte> rec = read_record(read, pos_, fsize_);
+  ByteReader r(rec);
+  return decode(r);
+}
+
+ChainWalk::Record ChainWalk::decode(ByteReader& r) {
+  check_link();
+  auto fail = [&](const std::string& what) {
+    throw FormatError(path_ + ": PH5 record at offset " +
+                      std::to_string(pos_) + ": " + what);
   };
-  auto decode_header = [&](std::uint32_t kind, ByteReader& h) {
-    if (kind == kKindAttribute) {
-      std::string name = h.str();
-      auto vspan = h.bytes(h.u64());
-      attributes_[name].assign(vspan.begin(), vspan.end());
-      return;
-    }
-    DatasetInfo info;
-    info.name = h.str();
-    const std::uint8_t type = h.u8();
-    if (type > static_cast<std::uint8_t>(NumberType::kInt64)) {
-      throw FormatError("bad number type " + std::to_string(type));
-    }
-    info.type = static_cast<NumberType>(type);
-    std::uint32_t nd = h.u32();
-    for (std::uint32_t d = 0; d < nd; ++d) info.dims.push_back(h.u64());
-    info.data_addr = h.u64();
-    info.data_bytes = h.u64();
-    index_[info.name] = datasets_.size();
-    datasets_.push_back(std::move(info));
-  };
-  while (pos != 0) {
-    if (!link_ok(end, pos, fsize)) {
-      fail(at, "next record " + std::to_string(pos) +
-                   (pos < end ? " does not move forward (ends at " +
-                                    std::to_string(end) + ")"
-                              : " runs past end of file (" +
-                                    std::to_string(fsize) + " bytes)"));
-    }
-    const std::uint32_t kind = r.u32();
-    const std::uint32_t hdrlen = r.u32();
-    const std::uint64_t next = r.u64();
-    if (kind != kKindDataset && kind != kKindAttribute) {
-      fail(pos, "unknown record kind " + std::to_string(kind));
-    }
-    if (!header_fits(pos, hdrlen, fsize)) {
-      fail(pos, "header length " + std::to_string(hdrlen) +
-                    " runs past end of file (" + std::to_string(fsize) +
-                    " bytes)");
-    }
-    ByteReader h(r.bytes(hdrlen));
-    try {
-      decode_header(kind, h);
-    } catch (const FormatError& e) {
-      fail(pos, e.what());  // a bad type byte or a header overrun
-    }
-    at = pos;
-    end = pos + kRecordFixedSize + hdrlen;
-    pos = next;
+  const std::uint32_t kind = r.u32();
+  const std::uint32_t hdrlen = r.u32();
+  const std::uint64_t next = r.u64();
+  if (kind != kKindDataset && kind != kKindAttribute) {
+    fail("unknown record kind " + std::to_string(kind));
   }
+  if (!header_fits(pos_, hdrlen, fsize_)) {
+    fail("header length " + std::to_string(hdrlen) +
+         " runs past end of file (" + std::to_string(fsize_) + " bytes)");
+  }
+  Record rec;
+  try {
+    ByteReader h(r.bytes(hdrlen));
+    if (kind == kKindAttribute) {
+      rec.attribute = h.str();
+      auto vspan = h.bytes(h.u64());
+      rec.value.assign(vspan.begin(), vspan.end());
+    } else {
+      rec.is_dataset = true;
+      DatasetInfo& info = rec.dataset;
+      info.name = h.str();
+      const std::uint8_t type = h.u8();
+      if (type > static_cast<std::uint8_t>(NumberType::kInt64)) {
+        throw FormatError("bad number type " + std::to_string(type));
+      }
+      info.type = static_cast<NumberType>(type);
+      const std::uint32_t nd = h.u32();
+      for (std::uint32_t d = 0; d < nd; ++d) info.dims.push_back(h.u64());
+      info.data_addr = h.u64();
+      info.data_bytes = h.u64();
+    }
+  } catch (const FormatError& e) {
+    fail(e.what());  // a bad type byte or a header overrun
+  }
+  at_ = pos_;
+  end_ = pos_ + kRecordFixedSize + hdrlen;
+  pos_ = next;
+  return rec;
 }
 
 std::uint64_t H5File::append_record(std::uint32_t kind,
@@ -507,7 +555,7 @@ void Dataset::read(const Dataspace& file_space, std::span<std::byte> buf,
   }
   std::uint64_t pos = 0;
   for (const auto& s : segs) {
-    file_->fs_->read_at(file_->fd_, s.offset, buf.subspan(pos, s.length));
+    file_->fs_->read_exact(file_->fd_, s.offset, buf.subspan(pos, s.length));
     pos += s.length;
   }
 }

@@ -25,7 +25,9 @@
 // metadata read does: rank 0 walks the record chain with one speculative
 // 512 B read per record (a second read only for longer headers) and
 // broadcasts the bytes; every rank decodes them.  The 2002 release read the
-// chain on every rank; no paper figure measures that read path.
+// chain on every rank; no paper figure measures that read path.  ChainWalk
+// is the same walk one record at a time, through a caller's read callable:
+// the query index steps it only as far as a request needs.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "base/byte_io.hpp"
 #include "hdf5/dataspace.hpp"
 #include "mpi/io/file.hpp"
 #include "pfs/filesystem.hpp"
@@ -79,6 +82,51 @@ struct DatasetInfo {
 };
 
 class Dataset;
+
+/// A walk along a PH5 file's record chain, one record per step.  Its
+/// decoder is the only one: H5File::open runs it over the bytes rank 0
+/// read, and next() reads each record first, with exactly the reads the
+/// open issues for it.  Every malformed structure is a FormatError naming
+/// the path and the offset of the record (or superblock) at fault; a failed
+/// step leaves the walk where it was.
+class ChainWalk {
+ public:
+  /// One record: a dataset's header, or an attribute.
+  struct Record {
+    bool is_dataset = false;
+    DatasetInfo dataset;
+    std::string attribute;
+    std::vector<std::byte> value;
+  };
+
+  /// Decode the superblock at the front of `r` for the file `path`
+  /// (`fsize` bytes long).
+  ChainWalk(std::string path, std::uint64_t fsize, ByteReader& r);
+
+  /// Read the superblock through `read` (one read) and decode it.
+  static ChainWalk open(std::string path, std::uint64_t fsize,
+                        const pfs::ReadAt& read);
+
+  /// The chain has no further record.
+  bool done() const { return pos_ == 0; }
+
+  /// Read the next record through `read`, then decode it.
+  Record next(const pfs::ReadAt& read);
+
+  /// Decode the next record from `r`, which holds its fixed part and header.
+  Record decode(ByteReader& r);
+
+ private:
+  /// Throws unless the next record starts after the previous structure and
+  /// its fixed part fits in the file.
+  void check_link() const;
+
+  std::string path_;
+  std::uint64_t fsize_ = 0;
+  std::uint64_t pos_ = 0;  ///< the next record; 0 ends the chain
+  std::uint64_t at_ = 0;   ///< the superblock or record linking to pos_
+  std::uint64_t end_ = 0;  ///< where that structure ends
+};
 
 class H5File {
  public:
@@ -149,7 +197,7 @@ class H5File {
   /// The superblock, then each record's fixed part and header, in chain
   /// order; stops at the first record that fails a chain check.
   std::vector<std::byte> read_metadata(std::uint64_t fsize);
-  /// Pure decoder over read_metadata's bytes; throws FormatError naming the
+  /// A ChainWalk over read_metadata's bytes; throws FormatError naming the
   /// path and offset of the first malformed structure.
   void decode_metadata(std::span<const std::byte> meta, std::uint64_t fsize);
   std::uint64_t append_record(std::uint32_t kind,

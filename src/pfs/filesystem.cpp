@@ -84,6 +84,20 @@ std::uint64_t FileSystem::read_at(int fd, std::uint64_t offset,
   }
 }
 
+void FileSystem::read_exact(int fd, std::uint64_t offset,
+                            std::span<std::byte> out) {
+  std::uint64_t done = 0;
+  do {
+    const std::uint64_t got = read_at(fd, offset + done, out.subspan(done));
+    if (got == 0 && !out.empty()) {
+      throw IoError("read_exact(" + descriptor(fd, "read_exact").path +
+                    "): no progress at offset " +
+                    std::to_string(offset + done));
+    }
+    done += got;
+  } while (done < out.size());
+}
+
 std::uint64_t FileSystem::read_attempt(OpenFile& f, int fd,
                                        std::uint64_t offset,
                                        std::span<std::byte> out) {

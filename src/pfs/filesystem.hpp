@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <span>
@@ -68,6 +69,11 @@ class IoObserver {
   }
 };
 
+/// Reads `out.size()` bytes at an offset of one open file, through whichever
+/// interface (and clock) the caller uses.  Record decoders take one, so each
+/// caller decides how its reads are timed, retried and shared.
+using ReadAt = std::function<void(std::uint64_t, std::span<std::byte>)>;
+
 class FileSystem {
  public:
   virtual ~FileSystem() = default;
@@ -100,6 +106,11 @@ class FileSystem {
   /// fs-level retry, when enabled) must resume.
   std::uint64_t read_at(int fd, std::uint64_t offset,
                         std::span<std::byte> out);
+
+  /// read_at until `out` is full, resuming short reads; throws IoError when
+  /// a read makes no progress.  Serial readers decode what they read, so a
+  /// short read's unfilled tail would otherwise pass for a malformed file.
+  void read_exact(int fd, std::uint64_t offset, std::span<std::byte> out);
 
   /// Timed positional write (extends the file as needed); returns the bytes
   /// actually transferred — a short count only ever results from an injected

@@ -23,16 +23,11 @@ void build_id_ladder(pfs::FileSystem& fs, GenerationIndex& ix) {
   for (std::uint64_t first = 0; first < n; first += chunk_elems) {
     const std::uint64_t count = std::min(chunk_elems, n - first);
     buf.resize(count * sizeof(std::uint64_t));
-    std::uint64_t done = 0;
-    while (done < buf.size()) {
-      std::uint64_t got = fs.read_at(
-          fd, ids.offset + first * sizeof(std::uint64_t) + done,
-          std::span<std::byte>(buf).subspan(done));
-      if (got == 0) {
-        fs.close(fd);
-        throw IoError(ids.path + ": short read building particle-ID index");
-      }
-      done += got;
+    try {
+      fs.read_exact(fd, ids.offset + first * sizeof(std::uint64_t), buf);
+    } catch (...) {
+      fs.close(fd);
+      throw;
     }
     for (std::uint64_t i = 0; i < count; ++i) {
       std::uint64_t id = 0;
@@ -181,6 +176,16 @@ GenerationIndex build_index(pfs::FileSystem& fs, const std::string& gen_base,
                             std::uint64_t gen) {
   GenerationIndex ix;
   static_cast<enzo::DumpLayout&>(ix) = enzo::decode_dump(fs, gen_base);
+  ix.gen = gen;
+  build_id_ladder(fs, ix);
+  return ix;
+}
+
+GenerationIndex build_head_index(pfs::FileSystem& fs,
+                                 enzo::DumpDecoder& decoder,
+                                 std::uint64_t gen) {
+  GenerationIndex ix;
+  decoder.decode_head(fs, ix);
   ix.gen = gen;
   build_id_ladder(fs, ix);
   return ix;

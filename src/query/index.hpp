@@ -6,16 +6,23 @@
 // *reader* that wants one field of one subgrid, or particles 1000..2000,
 // has no such luck — the paper's formats bury offsets in format-specific
 // metadata (HDF4 SDS records, the HDF5 record chain, the PNC header, the
-// MPI-IO closed-form layout).  The index is enzo::decode_dump's layout —
+// MPI-IO closed-form layout).  The index is enzo::DumpDecoder's layout —
 // the one reader per format, which inspect_dump also summarises — plus:
 //
 //   * a strided sample ladder over the (sorted) particle_id array and the
 //     ID range, so an ID range query binary-searches a small window
 //     instead of scanning.
 //
+// An index holds the dump's head (attributes, root-grid fields, particles,
+// ladder) plus the subgrids decoded so far: a grid listed in
+// meta.hierarchy but absent from `fields` is not decoded yet.  build_index
+// decodes every grid; the query service builds the head alone and decodes
+// a subgrid when a request first touches it.
+//
 // The index serializes to a compact blob that `mdms::Catalog` persists
 // (versioned, tombstone-aware), so a fresh process can serve a series
-// without re-inspecting every generation.
+// without re-inspecting every generation; a loaded head-only index decodes
+// its subgrids on demand the same way.
 #pragma once
 
 #include <cstdint>
@@ -65,5 +72,13 @@ struct GenerationIndex : enzo::DumpLayout {
 /// FormatError/IoError on a missing or malformed dump.
 GenerationIndex build_index(pfs::FileSystem& fs, const std::string& gen_base,
                             std::uint64_t gen);
+
+/// Build the index of a dump's head: decoder.decode_head, then the
+/// particle-ID ladder.  An HDF4 or HDF5 dump's subgrids are left out;
+/// `decoder` adds them one step at a time (query::Service does, when a
+/// request first touches one).  Same contract as build_index.
+GenerationIndex build_head_index(pfs::FileSystem& fs,
+                                 enzo::DumpDecoder& decoder,
+                                 std::uint64_t gen);
 
 }  // namespace paramrio::query

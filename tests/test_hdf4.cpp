@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "hdf4/sd_file.hpp"
 #include "pfs/local_fs.hpp"
 #include "sim/engine.hpp"
@@ -303,6 +304,52 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SdfDefect>& info) {
       return info.param.name;
     });
+
+/// What an open finds in a file, and one dataset's bytes.
+struct SdfContents {
+  std::vector<std::string> names;
+  std::vector<std::uint64_t> offsets;
+  std::vector<std::byte> metadata;
+  std::vector<std::byte> b;
+
+  bool operator==(const SdfContents&) const = default;
+};
+
+SdfContents open_contents(pfs::FileSystem& fs, const std::string& path) {
+  SdfContents c;
+  sim::Engine::run(opts(1), [&](sim::Proc&) {
+    SdFile f = SdFile::open(fs, path);
+    c.names = f.dataset_names();
+    for (const std::string& n : c.names) {
+      c.offsets.push_back(f.info(n).data_offset);
+    }
+    c.metadata = f.read_attribute("metadata");
+    c.b.resize(f.info("b").data_bytes);
+    f.read_dataset("b", c.b);
+  });
+  return c;
+}
+
+TEST(SdfShortReads, OpenAndDatasetReadsResumeThem) {
+  // Without fs-level retry, every read of two or more bytes lands only half
+  // its bytes; the scan and read_dataset must resume rather than decode the
+  // unfilled tail.
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  const std::string path = "short.sdf";
+  golden_sdf(fs, path);
+  const SdfContents clean = open_contents(fs, path);
+
+  fault::FaultSpec shorty;
+  shorty.kind = fault::FaultKind::kShortRead;
+  shorty.path_substr = path;
+  fault::Injector inj(fault::FaultPlan{1, {shorty}});
+  fs.attach_fault_hook(&inj);
+  SdfContents shorted;
+  EXPECT_NO_THROW(shorted = open_contents(fs, path));
+  fs.attach_fault_hook(nullptr);
+  EXPECT_GT(inj.counters().injected_total(), 0u);
+  EXPECT_EQ(shorted, clean);
+}
 
 }  // namespace
 }  // namespace paramrio::hdf4

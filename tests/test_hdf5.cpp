@@ -6,6 +6,7 @@
 #include <cstring>
 #include <map>
 
+#include "fault/fault.hpp"
 #include "hdf5/h5_file.hpp"
 #include "pfs/local_fs.hpp"
 
@@ -635,6 +636,39 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+TEST_P(H5MalformedChain, StepwiseWalkDiagnosesItAlike) {
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  const std::string path = "bad.h5";
+  write_golden(fs, path);
+  std::vector<std::byte> bytes(fs.store().size(path));
+  fs.store().read_at(path, 0, bytes);
+  GetParam().mutate(bytes, record_offsets(bytes));
+  fs.store().create(path);
+  fs.store().write_at(path, 0, bytes);
+
+  sim::Engine::Options o;
+  o.nprocs = 1;
+  std::string eager;
+  std::string stepwise;
+  sim::Engine::run(o, [&](sim::Proc&) {
+    eager = open_error(fs, path);
+    const int fd = fs.open(path, pfs::OpenMode::kRead);
+    const pfs::ReadAt read = [&](std::uint64_t off,
+                                 std::span<std::byte> out) {
+      fs.read_exact(fd, off, out);
+    };
+    try {
+      ChainWalk walk = ChainWalk::open(path, fs.size(fd), read);
+      while (!walk.done()) walk.next(read);
+    } catch (const FormatError& e) {
+      stepwise = e.what();
+    }
+    fs.close(fd);
+  });
+  EXPECT_FALSE(eager.empty());
+  EXPECT_EQ(stepwise, eager);
+}
+
 /// Counts the read requests each rank issues.
 class ReadCounter : public pfs::IoObserver {
  public:
@@ -708,6 +742,81 @@ TEST(H5Open, ParallelOpenReadsMetadataOnce) {
     EXPECT_EQ(total, one_rank_reads) << p << " ranks";
     for (const std::string& t : tables) EXPECT_EQ(t, serial) << p << " ranks";
   }
+}
+
+TEST(H5Open, StepwiseWalkIssuesTheOpensReads) {
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  write_golden(fs, "walk.h5");
+  sim::Engine::Options o;
+  o.nprocs = 1;
+  sim::Engine::run(o, [&](sim::Proc&) {
+    H5File f = H5File::open(fs, "walk.h5");
+    const std::vector<std::string> names = f.dataset_names();
+
+    ReadCounter counter;
+    fs.attach_observer(&counter);
+    const int fd = fs.open("walk.h5", pfs::OpenMode::kRead);
+    const pfs::ReadAt read = [&](std::uint64_t off,
+                                 std::span<std::byte> out) {
+      fs.read_exact(fd, off, out);
+    };
+    ChainWalk walk = ChainWalk::open("walk.h5", fs.size(fd), read);
+    std::vector<std::string> walked;
+    std::vector<std::string> attributes;
+    while (!walk.done()) {
+      ChainWalk::Record rec = walk.next(read);
+      if (rec.is_dataset) {
+        EXPECT_EQ(rec.dataset.data_addr,
+                  f.open_dataset(rec.dataset.name).info().data_addr);
+        walked.push_back(rec.dataset.name);
+      } else {
+        EXPECT_EQ(rec.value, f.read_attribute(rec.attribute));
+        attributes.push_back(rec.attribute);
+      }
+    }
+    fs.close(fd);
+    fs.attach_observer(nullptr);
+    f.close();
+    EXPECT_EQ(walked, names);
+    EXPECT_EQ(attributes, (std::vector<std::string>{"big", "time"}));
+    // The open's reads: superblock, one per record, one long header.
+    EXPECT_EQ(counter.reads[0], 1u + 6u + 1u);
+  });
+}
+
+TEST(H5ShortReads, SerialOpenAndReadResumeThem) {
+  // Without fs-level retry, every read of two or more bytes lands only half
+  // its bytes; the serial driver must resume rather than decode the
+  // unfilled tail as a malformed chain.
+  pfs::LocalFs fs(pfs::LocalFsParams{});
+  write_golden(fs, "short.h5");
+  sim::Engine::Options o;
+  o.nprocs = 1;
+  auto open_tables = [&] {
+    std::string t;
+    sim::Engine::run(o, [&](sim::Proc&) {
+      H5File f = H5File::open(fs, "short.h5");
+      t = tables_of(f);
+      std::vector<std::byte> data(8 * 8);
+      f.open_dataset("ds2").read_all(data);
+      t += std::string(reinterpret_cast<const char*>(data.data()),
+                       data.size());
+      f.close();
+    });
+    return t;
+  };
+  const std::string clean = open_tables();
+
+  fault::FaultSpec shorty;
+  shorty.kind = fault::FaultKind::kShortRead;
+  shorty.path_substr = "short.h5";
+  fault::Injector inj(fault::FaultPlan{1, {shorty}});
+  fs.attach_fault_hook(&inj);
+  std::string shorted;
+  EXPECT_NO_THROW(shorted = open_tables());
+  fs.attach_fault_hook(nullptr);
+  EXPECT_GT(inj.counters().injected_total(), 0u);
+  EXPECT_EQ(shorted, clean);
 }
 
 }  // namespace
