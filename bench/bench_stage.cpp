@@ -1,7 +1,7 @@
 // Stage — the burst-buffer staging tier (docs/STAGING.md; the
 // generalization of the paper's Fig 9 node-local configuration).
 //
-// Two sections:
+// Three sections:
 //
 //  1. Dump latency vs destination stripe width, staged on/off: 4 ranks each
 //     stream private 512 KiB chunks.  The direct rows move with the stripe
@@ -15,13 +15,24 @@
 //  2. N-job burst absorption: N identical 4-rank writer jobs share one
 //     destination StripedFs.  Direct jobs contend at the shared servers, so
 //     the worst dump time grows ~N; staged jobs land on per-node local
-//     disks and the dump time stays flat while the (fair-share-deweighted)
-//     drains soak up the backlog afterwards.
+//     disks and the dump time stays flat while the sync drains soak up the
+//     backlog afterwards.
 //
-// `--tiny` shrinks both axes for CI; `--json <path>` / PARAMRIO_BENCH_JSON
-// emit the rows as BENCH_stage.json (the staging facade's counter registry
-// is attached to the final row).  The CI stage-smoke job asserts the
-// staged "io=*" rows' write_time spread is zero.
+//  3. Async drain vs the dump's closing barrier, on one chiba_pvfs_ethernet
+//     Testbed whose PVFS traffic and MPI messages share the NICs and the
+//     12.5 MB/s backplane (the ledger's pipeline set-up).  Each rank stages
+//     a dump, then either starts an async drain or does not, and runs the
+//     closing barrier.  The drain runs ahead on the shadow clock, booking
+//     the fabric out to its end; because drain traffic is the background
+//     class, the "async" row's write_time (dump + barrier) must equal
+//     the "no-drain" row's.  Its read_time is when the last drain settles.
+//
+// `--tiny` shrinks every axis for CI; `--json <path>` / PARAMRIO_BENCH_JSON
+// emit the rows as BENCH_stage.json (the async run's staging-facade and
+// network counters are attached to the final row).  The CI stage-smoke job
+// asserts the staged "io=*" rows' write_time spread is zero, the two
+// section-3 rows' write_times are equal, and compares against the committed
+// baseline.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -32,6 +43,7 @@
 #include "obs/registry.hpp"
 #include "pfs/local_disk_fs.hpp"
 #include "pfs/striped_fs.hpp"
+#include "platform/machine.hpp"
 #include "stage/staged_fs.hpp"
 
 using namespace paramrio;
@@ -109,6 +121,36 @@ DumpTiming time_dump(int n_io_nodes, bool staged_on, int chunks) {
   return timing;
 }
 
+/// Section 3: `nprocs` ranks on one shared-fabric Testbed stage a dump and
+/// run the closing barrier, with or without an async drain started first.
+/// write = dump + barrier; drain = when the last rank's drain settles.
+DumpTiming time_closing_barrier(int nprocs, bool async_drain, int chunks,
+                                obs::MetricsRegistry* registry) {
+  platform::Testbed tb(platform::chiba_pvfs_ethernet(), nprocs);
+  pfs::LocalDiskFs staging(pfs::LocalDiskFsParams{}, nprocs);
+  stage::StagedFs staged(stage::StagedFsParams{}, staging, tb.fs());
+  DumpTiming timing;
+  tb.runtime().run([&](mpi::Comm& c) {
+    c.barrier();
+    const double t0 = c.proc().now();
+    stream(c, staged, "dump", chunks);
+    if (async_drain) staged.drain_mine(stage::DrainPolicy::kAsync);
+    c.barrier();
+    const double t1 = c.proc().now();
+    staged.drain_settle();
+    c.barrier();
+    if (c.rank() == 0) {
+      timing.write = t1 - t0;
+      timing.drain = async_drain ? c.proc().now() - t0 : 0.0;
+    }
+  });
+  if (registry != nullptr) {
+    staged.export_counters(*registry);
+    tb.runtime().network().export_counters(*registry);
+  }
+  return timing;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -150,7 +192,6 @@ int main(int argc, char** argv) {
       "worst per-job dump time; staged stays flat, direct grows ~N");
   const std::vector<int> job_counts =
       tiny ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4};
-  obs::MetricsRegistry last_registry;
   for (int n : job_counts) {
     const std::string size = "jobs=" + std::to_string(n);
     for (bool staged_on : {false, true}) {
@@ -194,14 +235,34 @@ int main(int argc, char** argv) {
           machine.c_str(), size.c_str(), n, worst_dump, worst_makespan);
       json.add_row(machine, size, n * kRanksPerJob, bench::Backend::kMpiIo,
                    row);
-      if (staged_on) {
-        last_registry.clear();
-        t.staged.export_counters(last_registry);
-      }
     }
   }
-  // Attach the facade's counters (fs:staged scope: staged/drained bytes,
-  // segment lifecycle, retry totals) to the final staged row.
-  json.attach_registry(last_registry);
+
+  // ---- 3: async drain vs the closing barrier on a shared fabric ----------
+  bench::print_header(
+      "Stage — async drain vs the dump's closing barrier (shared fabric)",
+      "write col = dump + closing barrier, equal with and without the "
+      "drain; read col = async drain settled");
+  const int barrier_procs = tiny ? 8 : 16;
+  obs::MetricsRegistry async_registry;
+  for (bool async_drain : {false, true}) {
+    const DumpTiming d =
+        time_closing_barrier(barrier_procs, async_drain, chunks,
+                             async_drain ? &async_registry : nullptr);
+    bench::IoResult row;
+    row.write_time = d.write;
+    row.read_time = d.drain;
+    row.fs_bytes_written =
+        static_cast<std::uint64_t>(barrier_procs) * chunks * kChunk;
+    const std::string size = async_drain ? "async" : "no-drain";
+    bench::print_row("chiba-shared", size, barrier_procs,
+                     bench::Backend::kMpiIo, row);
+    json.add_row("chiba-shared", size, barrier_procs, bench::Backend::kMpiIo,
+                 row);
+  }
+  // Attach the async run's counters (fs:staged scope: staged/drained bytes,
+  // segment lifecycle, retry totals; net scope: background transfers) to
+  // the final row.
+  json.attach_registry(async_registry);
   return 0;
 }

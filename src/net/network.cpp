@@ -70,7 +70,7 @@ double Network::transmit(sim::Proc& src, int dst_rank, std::uint64_t bytes) {
   if (params_.nic_contention || params_.backplane_bandwidth > 0.0) {
     src.advance(params_.send_overhead, sim::TimeCategory::kComm);
     double done = wire_transfer(src.now(), node_of(src.rank()),
-                                node_of(dst_rank), bytes);
+                                node_of(dst_rank), bytes, src.background_io());
     src.clock_at_least(done, sim::TimeCategory::kComm);
     return done + params_.latency;
   }
@@ -97,14 +97,18 @@ void Network::receive(sim::Proc& dst, double arrival, std::uint64_t bytes) {
 }
 
 double Network::wire_transfer(double start, int src_node, int dst_node,
-                              std::uint64_t bytes) {
+                              std::uint64_t bytes, bool background) {
   counters_.wire_transfers += 1;
   counters_.wire_bytes += bytes;
+  if (background) {
+    counters_.background_transfers += 1;
+    counters_.background_bytes += bytes;
+  }
   if (obs::detail()) {
     obs::gauge_int("net/wire_bytes", counters_.wire_bytes);
     if (params_.backplane_bandwidth > 0.0) {
       obs::gauge("net/backplane_backlog",
-                 std::max(0.0, backplane_.next_free() - start));
+                 backplane_.earliest_start(start, background) - start);
     }
   }
   const double b = static_cast<double>(bytes);
@@ -115,17 +119,17 @@ double Network::wire_transfer(double start, int src_node, int dst_node,
   if (params_.backplane_bandwidth > 0.0) {
     double bp_time = b / params_.backplane_bandwidth;
     span = std::max(span, bp_time);
-    s0 = std::max(s0, backplane_.next_free());
+    s0 = backplane_.earliest_start(s0, background);
   }
   if (params_.nic_contention && src_node != dst_node) {
     auto& sn = nics_[static_cast<std::size_t>(src_node)];
     auto& dn = nics_[static_cast<std::size_t>(dst_node)];
-    s0 = std::max({s0, sn.next_free(), dn.next_free()});
-    sn.acquire(s0, span);
-    dn.acquire(s0, span);
+    s0 = dn.earliest_start(sn.earliest_start(s0, background), background);
+    sn.acquire(s0, span, background);
+    dn.acquire(s0, span, background);
   }
   if (params_.backplane_bandwidth > 0.0) {
-    backplane_.acquire(s0, b / params_.backplane_bandwidth);
+    backplane_.acquire(s0, b / params_.backplane_bandwidth, background);
   }
   return s0 + span;
 }
@@ -140,6 +144,12 @@ void Network::export_counters(obs::MetricsRegistry& reg) const {
     reg.add("net", "retransmit_bytes", counters_.retransmit_bytes);
   }
   if (counters_.msg_dups > 0) reg.add("net", "msg_dups", counters_.msg_dups);
+  // Drain traffic; nonzero-only so exports from runs without a staging tier
+  // stay byte-identical to previous releases.
+  if (counters_.background_transfers > 0) {
+    reg.add("net", "background_transfers", counters_.background_transfers);
+    reg.add("net", "background_bytes", counters_.background_bytes);
+  }
 }
 
 }  // namespace paramrio::net

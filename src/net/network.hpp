@@ -12,6 +12,8 @@
 //     transfer occupies both endpoints' NICs for its duration
 //   * optional shared backplane: total fabric bandwidth capped by one global
 //     Timeline (models the oversubscribed fast-Ethernet of the Linux cluster)
+//   * drain traffic books the NIC and backplane Timelines in their background
+//     class, so it yields to every foreground transfer and message
 //
 // The Network only computes *times*; message payloads live in the mpi layer.
 #pragma once
@@ -59,6 +61,8 @@ struct NetworkCounters {
   std::uint64_t msg_drops = 0;      ///< injected drops (retransmitted)
   std::uint64_t msg_dups = 0;       ///< injected duplicates (discarded)
   std::uint64_t retransmit_bytes = 0;  ///< payload bytes sent again
+  std::uint64_t background_transfers = 0;  ///< wire transfers of drain traffic
+  std::uint64_t background_bytes = 0;
 };
 
 /// Per-run interconnect state.  Construct one per Engine::run for up to
@@ -87,9 +91,11 @@ class Network {
   /// Raw access for file systems that move data over the same fabric
   /// (e.g. PVFS clients talking to I/O nodes).  `src_node`/`dst_node` are
   /// node ids; returns the completion time of the wire transfer that starts
-  /// no earlier than `start`.
+  /// no earlier than `start`.  A `background` transfer (drain traffic) books
+  /// the NICs and the backplane in the background class (sim::Timeline), so
+  /// it never delays foreground traffic.
   double wire_transfer(double start, int src_node, int dst_node,
-                       std::uint64_t bytes);
+                       std::uint64_t bytes, bool background = false);
 
   const NetworkCounters& counters() const { return counters_; }
 

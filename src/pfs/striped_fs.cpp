@@ -130,6 +130,8 @@ void StripedFs::charge(sim::Proc& proc, const std::string& path,
   const int client = proc.global_rank();
   const int client_node = network_.node_of(client);
   const int io_base = network_.compute_nodes();
+  // Drain traffic books every shared timeline in the background class.
+  const bool background = proc.background_io();
 
   // Byte-range write tokens at stripe granularity (GPFS rounds byte-range
   // tokens out to block boundaries): a write pays one transfer — serialised
@@ -146,7 +148,8 @@ void StripedFs::charge(sim::Proc& proc, const std::string& path,
     const std::uint64_t s_hi = (offset + bytes + ss - 1) / ss;
     const double token_wait_start = proc.now();
     if (runs_conflict(owners, s_lo, s_hi, client)) {
-      req_start = token_manager_.acquire(req_start, params_.write_lock_cost);
+      req_start = token_manager_.acquire(req_start, params_.write_lock_cost,
+                                         background);
       ++token_transfers_;
       obs::record_wait(obs::WaitKind::kTokenWait, token_wait_start,
                        req_start);
@@ -164,13 +167,15 @@ void StripedFs::charge(sim::Proc& proc, const std::string& path,
         double chunk_wait = 0.0;
         if (params_.smp_io_channel) {
           auto& ch = smp_channels_[static_cast<std::size_t>(client_node)];
-          if (detail) chunk_wait += std::max(0.0, ch.next_free() - t);
-          t = ch.acquire(t, params_.smp_channel_overhead +
-                                static_cast<double>(c.length) /
-                                    params_.smp_channel_bandwidth);
+          if (detail) chunk_wait += ch.earliest_start(t, background) - t;
+          t = ch.acquire(t,
+                         params_.smp_channel_overhead +
+                             static_cast<double>(c.length) /
+                                 params_.smp_channel_bandwidth,
+                         background);
         }
         t = network_.wire_transfer(t, client_node, io_base + c.server,
-                                   c.length);
+                                   c.length, background);
         auto& srv = servers_[static_cast<std::size_t>(c.server)];
         double srv_wait = 0.0;
         if (detail) {
@@ -180,8 +185,8 @@ void StripedFs::charge(sim::Proc& proc, const std::string& path,
         }
         const double completion =
             srv.serve(t, path, c.server_offset, c.length, is_write, 0.0,
-                      proc.job(), proc.io_weight(),
-                      detail ? &srv_wait : nullptr, proc.background_io());
+                      proc.job(), proc.job_weight(),
+                      detail ? &srv_wait : nullptr, background);
         if (detail) {
           const std::string server_track =
               "ioserver:" + name() + "/" + std::to_string(c.server);

@@ -175,10 +175,10 @@ void Proc::clock_at_least(double t, TimeCategory cat) {
 void Proc::use_resource(Timeline& tl, double service, TimeCategory cat) {
   PARAMRIO_REQUIRE(service >= 0.0, "negative service time");
   if (deferred_) {
-    shadow_clock_ = tl.acquire(shadow_clock_, service);
+    shadow_clock_ = tl.acquire(shadow_clock_, service, background_io_);
     return;
   }
-  double done = tl.acquire(clock_, service);
+  double done = tl.acquire(clock_, service, background_io_);
   account(stats_, cat, done - clock_);
   clock_ = done;
   engine_->yield_from(global_);

@@ -85,12 +85,27 @@ struct ProcStats {
 /// Because the engine serialises execution in virtual-time order, requests
 /// arrive at the timeline already sorted by issue time, so this single
 /// scalar reproduces FIFO queueing delay exactly.
+///
+/// Background traffic (Proc::background_io(): the staging tier's drain) is a
+/// second class with strict lower priority.  A foreground request never
+/// waits for a background reservation — it reads and advances only
+/// next_free.  A background request starts at the later of `now` and both
+/// horizons, and advances only the background horizon.  A timeline that
+/// never sees background traffic behaves exactly as a plain FIFO.
 class Timeline {
  public:
-  double acquire(double now, double service) {
-    double start = now > next_free_ ? now : next_free_;
-    next_free_ = start + service;
-    return next_free_;
+  double acquire(double now, double service, bool background = false) {
+    const double start = earliest_start(now, background);
+    (background ? background_free_ : next_free_) = start + service;
+    return start + service;
+  }
+
+  /// When a request of the given class issued at `now` could start; lets a
+  /// caller book one start across several timelines (a wire transfer holds
+  /// both NICs and the backplane at once).
+  double earliest_start(double now, bool background = false) const {
+    const double t = now > next_free_ ? now : next_free_;
+    return background && background_free_ > t ? background_free_ : t;
   }
 
   /// Raise next_free to at least `t` (fair-share arbiters track per-job
@@ -99,11 +114,13 @@ class Timeline {
     if (t > next_free_) next_free_ = t;
   }
 
+  /// The foreground horizon.
   double next_free() const { return next_free_; }
-  void reset() { next_free_ = 0.0; }
+  void reset() { next_free_ = background_free_ = 0.0; }
 
  private:
   double next_free_ = 0.0;
+  double background_free_ = 0.0;
 };
 
 class Engine;
@@ -142,8 +159,9 @@ class Proc {
   /// completion).  Waiting time is attributed to `cat`.
   void clock_at_least(double t, TimeCategory cat);
 
-  /// Acquire a FIFO resource for `service` seconds starting now; the clock
-  /// advances to the request's completion time.
+  /// Acquire a FIFO resource for `service` seconds starting now, in this
+  /// proc's traffic class (background_io()); the clock advances to the
+  /// request's completion time.
   void use_resource(Timeline& tl, double service, TimeCategory cat);
 
   /// Mark this proc blocked and yield; returns after some other proc calls
@@ -179,25 +197,16 @@ class Proc {
   // ---- background I/O --------------------------------------------------
   //
   // A proc doing housekeeping traffic (the staging tier's drain) marks
-  // itself background so shared I/O servers can de-prioritise it: its
-  // effective fair-share weight is job_weight() scaled down by `scale`, and
-  // servers count its bytes separately.  A lone tenant at a server is still
-  // served stretch-free, so single-job runs without a drain stay
-  // byte-identical.
+  // itself background.  Every shared Timeline it books — NICs, the
+  // backplane, I/O-server queues, the SMP I/O channel, the token manager —
+  // then serves it in the background class: foreground requests never wait
+  // for it, it waits for both classes, and servers count its bytes
+  // separately.  Runs without background traffic are unaffected.
 
-  /// Enter background-I/O mode with fair-share weight scaled by `scale`
-  /// (0 < scale <= 1; smaller = politer).  Not nestable.
-  void set_background_io(double scale) {
-    io_weight_scale_ = scale;
-    background_io_ = true;
-  }
-  void clear_background_io() {
-    io_weight_scale_ = 1.0;
-    background_io_ = false;
-  }
+  /// Enter background-I/O mode.  Not nestable.
+  void set_background_io() { background_io_ = true; }
+  void clear_background_io() { background_io_ = false; }
   bool background_io() const { return background_io_; }
-  /// Effective fair-share weight at shared I/O servers.
-  double io_weight() const { return job_weight_ * io_weight_scale_; }
 
   ProcStats& stats() { return stats_; }
   const ProcStats& stats() const { return stats_; }
@@ -221,7 +230,6 @@ class Proc {
   double clock_ = 0.0;
   double shadow_clock_ = 0.0;  ///< in-flight time while deferred_
   bool deferred_ = false;
-  double io_weight_scale_ = 1.0;  ///< fair-share scale while background
   bool background_io_ = false;
   ProcStats stats_;
   Rng rng_;

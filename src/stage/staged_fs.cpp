@@ -48,8 +48,8 @@ class DeferredRegion {
 /// RAII over background-I/O marking for the duration of a drain.
 class BackgroundRegion {
  public:
-  BackgroundRegion(sim::Proc& proc, double scale) : proc_(proc) {
-    proc_.set_background_io(scale);
+  explicit BackgroundRegion(sim::Proc& proc) : proc_(proc) {
+    proc_.set_background_io();
   }
   ~BackgroundRegion() { proc_.clear_background_io(); }
   BackgroundRegion(const BackgroundRegion&) = delete;
@@ -80,9 +80,6 @@ StagedFs::StagedFs(StagedFsParams params, pfs::FileSystem& staging,
                    "StagedFs: staging and destination must be distinct");
   PARAMRIO_REQUIRE(params_.segment_bytes > 0,
                    "StagedFs: segment_bytes must be positive");
-  PARAMRIO_REQUIRE(
-      params_.drain_weight_scale > 0.0 && params_.drain_weight_scale <= 1.0,
-      "StagedFs: drain_weight_scale must be in (0, 1]");
 }
 
 // ---- append path ---------------------------------------------------------
@@ -479,7 +476,7 @@ void StagedFs::drain_mine(DrainPolicy policy) {
 
   OBS_SPAN("stage.drain", sim::TimeCategory::kIo);
   const auto migrate = [&] {
-    BackgroundRegion bg(proc, params_.drain_weight_scale);
+    BackgroundRegion bg(proc);
     std::vector<std::byte> buf;
     for (const Item& item : items) {
       Segment& seg = segments_[static_cast<std::size_t>(item.seg)];

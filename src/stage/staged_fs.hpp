@@ -16,9 +16,10 @@
 // faults and the PR 5 shadow-clock deferral machinery for asynchronous
 // drains (work runs immediately, time accrues on the shadow clock, the
 // issuer settles later and the stall is blamed as "stage.drain").  Drain
-// traffic is marked background at the I/O servers and de-weighted under
-// multi-job fair share; a lone tenant is still served stretch-free, so
-// single-job timing is bit-identical with or without the flag.
+// traffic is marked background (sim::Proc::set_background_io): every shared
+// timeline it books — NICs, backplane, I/O servers, the staging disks —
+// serves it after foreground work, so a drain never delays the application
+// traffic that overlaps it.
 //
 // Reads are tier-aware: each requested range is split against the extent
 // map — staged sub-ranges are served (timed) from the staging segments,
@@ -69,9 +70,6 @@ struct StagedFsParams {
   /// exhausts this budget throws a diagnosed IoError naming the extent; the
   /// staged bytes are retained, never silently dropped.
   fault::RetryPolicy drain_retry;
-  /// Fair-share weight scale for drain traffic at shared I/O servers
-  /// (0 < scale <= 1; smaller = politer to foreground tenants).
-  double drain_weight_scale = 0.25;
 };
 
 class StagedFs final : public pfs::FileSystem {

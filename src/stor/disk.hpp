@@ -63,53 +63,62 @@ class IoServer {
   /// `queue_wait`, when non-null, receives the time the request spent
   /// queued behind other work (completion - start - service; under
   /// fair-share this includes the stretch charged for competing tenants).
-  /// `background` marks housekeeping traffic (the staging tier's drain):
-  /// it only affects the server's background counters — priority is already
-  /// expressed through `weight` (callers pass sim::Proc::io_weight()), so
-  /// timing for non-background requests is untouched.
+  /// `background` marks housekeeping traffic (the staging tier's drain): on
+  /// either path it is served in the timeline's background class
+  /// (sim::Timeline) — after all foreground work, never ahead of it, with no
+  /// fair-share stretch — and it positions against a head of its own, so a
+  /// foreground request's seek cost and completion time are the same with
+  /// or without background requests booked before it.
   double serve(double start, const std::string& object, std::uint64_t offset,
                std::uint64_t bytes, bool is_write = false,
                double extra_service = 0.0, int job = -1, double weight = 1.0,
                double* queue_wait = nullptr, bool background = false) {
     double service = params_.request_overhead + extra_service +
                      static_cast<double>(bytes) / params_.bandwidth;
-    if (object == last_object_ && offset == last_end_) {
+    Head& head = background ? background_head_ : head_;
+    if (object == head.object && offset == head.end) {
       // Sequential continuation: free.
     } else if (is_write) {
       service += params_.near_seek_time;
-    } else if (object == last_object_ && offset >= last_end_ &&
-               offset - last_end_ <= params_.near_window) {
+    } else if (object == head.object && offset >= head.end &&
+               offset - head.end <= params_.near_window) {
       service += params_.near_seek_time;
     } else {
       service += params_.seek_time;
     }
-    last_object_ = object;
-    last_end_ = offset + bytes;
+    head.object = object;
+    head.end = offset + bytes;
     requests_ += 1;
     bytes_moved_ += bytes;
     if (background) {
       background_requests_ += 1;
       background_bytes_ += bytes;
     }
-    if (job < 0) {
-      const double completion = busy_.acquire(start, service);
+    JobShare* mine = nullptr;
+    if (job >= 0) {
+      mine = &shares_[job];
+      mine->weight = weight;
+      mine->service_time += service;
+      mine->bytes += bytes;
+      mine->requests += 1;
+    }
+    if (mine == nullptr || background) {
+      // Under fair share the aggregate envelope covers every job's
+      // foreground horizon, so a background request waits for all of them
+      // and moves none.
+      const double completion = busy_.acquire(start, service, background);
       if (queue_wait != nullptr) *queue_wait = completion - start - service;
       return completion;
     }
 
-    JobShare& mine = shares_[job];
-    mine.weight = weight;
-    mine.service_time += service;
-    mine.bytes += bytes;
-    mine.requests += 1;
     double active_weight = 0.0;
     for (const auto& [j, share] : shares_) {
       if (j != job && share.busy > start) active_weight += share.weight;
     }
     const double stretch = (active_weight + weight) / weight;
     const double completion =
-        std::max(start, mine.busy) + service * stretch;
-    mine.busy = completion;
+        std::max(start, mine->busy) + service * stretch;
+    mine->busy = completion;
     busy_.raise(completion);  // keep the aggregate envelope truthful
     if (queue_wait != nullptr) *queue_wait = completion - start - service;
     return completion;
@@ -129,8 +138,8 @@ class IoServer {
 
   void reset() {
     busy_.reset();
-    last_object_.clear();
-    last_end_ = 0;
+    head_ = Head{};
+    background_head_ = Head{};
     requests_ = 0;
     bytes_moved_ = 0;
     background_requests_ = 0;
@@ -139,10 +148,17 @@ class IoServer {
   }
 
  private:
+  /// Where the last request of a class ended; sequentiality is judged per
+  /// class.
+  struct Head {
+    std::string object;
+    std::uint64_t end = 0;
+  };
+
   DiskParams params_;
   sim::Timeline busy_;
-  std::string last_object_;
-  std::uint64_t last_end_ = 0;
+  Head head_;
+  Head background_head_;
   std::uint64_t requests_ = 0;
   std::uint64_t bytes_moved_ = 0;
   std::uint64_t background_requests_ = 0;

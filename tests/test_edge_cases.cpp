@@ -22,7 +22,9 @@ TEST(EdgeComm, EmptyMessagesFlowThroughEverything) {
   mpi::Runtime rt(rparams(3));
   rt.run([](mpi::Comm& c) {
     if (c.rank() == 0) c.send(1, 1, {});
-    if (c.rank() == 1) EXPECT_TRUE(c.recv(0, 1).empty());
+    if (c.rank() == 1) {
+      EXPECT_TRUE(c.recv(0, 1).empty());
+    }
 
     mpi::Bytes empty;
     c.bcast(empty, 0);

@@ -427,7 +427,9 @@ TEST(TwoPhase, RestrictedAggregatorCount) {
     std::vector<std::byte> back(buf.size());
     f.read_at_all(0, back);
     EXPECT_EQ(back, buf);
-    if (c.rank() >= 2) EXPECT_EQ(f.stats().two_phase_windows, 0u);
+    if (c.rank() >= 2) {
+      EXPECT_EQ(f.stats().two_phase_windows, 0u);
+    }
     f.close();
   });
 }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "net/network.hpp"
+#include "obs/registry.hpp"
 #include "sim/engine.hpp"
 #include "stor/disk.hpp"
 #include "stor/object_store.hpp"
@@ -107,6 +108,58 @@ TEST(Network, WithoutContentionParallelSendsOverlap) {
   EXPECT_LT(r.makespan, 1.5);  // both finish ≈ 1 s
 }
 
+// Drain traffic is a background class on the NICs and the backplane: a
+// background transfer reserved far into the future must not move a later
+// foreground transfer, on a shared source NIC, a shared destination NIC
+// and the shared backplane alike.
+TEST(Network, BackgroundTransferNeverDelaysForeground) {
+  NetworkParams p = simple_net();
+  p.nic_contention = true;
+  p.backplane_bandwidth = 1.0e6;
+  Engine::run(opts(1), [&](Proc&) {
+    // Nodes 0 and 1 are compute nodes, node 2 an extra (I/O) node.
+    Network quiet(p, 2, 1);
+    Network busy(p, 2, 1);
+    EXPECT_DOUBLE_EQ(busy.wire_transfer(0.0, 0, 2, 5'000'000, true), 5.0);
+    EXPECT_DOUBLE_EQ(busy.wire_transfer(1.0, 0, 2, 1'000'000),
+                     quiet.wire_transfer(1.0, 0, 2, 1'000'000));
+    EXPECT_DOUBLE_EQ(busy.wire_transfer(1.0, 1, 2, 1'000'000),
+                     quiet.wire_transfer(1.0, 1, 2, 1'000'000));
+    EXPECT_DOUBLE_EQ(busy.wire_transfer(1.5, 1, 0, 1'000'000),
+                     quiet.wire_transfer(1.5, 1, 0, 1'000'000));
+    EXPECT_EQ(busy.counters().wire_transfers, 4u);
+    EXPECT_EQ(busy.counters().background_transfers, 1u);
+    EXPECT_EQ(busy.counters().background_bytes, 5'000'000u);
+
+    // The counters reach the registry only when drain traffic was seen.
+    obs::MetricsRegistry with_bg, without_bg;
+    busy.export_counters(with_bg);
+    quiet.export_counters(without_bg);
+    EXPECT_EQ(with_bg.get("net", "background_transfers"), 1u);
+    EXPECT_EQ(with_bg.get("net", "background_bytes"), 5'000'000u);
+    EXPECT_EQ(without_bg.scopes().at("net").counters.count(
+                  "background_transfers"),
+              0u);
+    EXPECT_EQ(without_bg.scopes().at("net").counters.count("background_bytes"),
+              0u);
+  });
+}
+
+TEST(Network, BackgroundTransferQueuesBehindBothClasses) {
+  NetworkParams p = simple_net();
+  p.nic_contention = true;
+  p.backplane_bandwidth = 1.0e6;
+  Engine::run(opts(1), [&](Proc&) {
+    Network nw(p, 2, 1);
+    EXPECT_DOUBLE_EQ(nw.wire_transfer(0.0, 0, 2, 2'000'000), 2.0);
+    // Issued at 1.0 on a disjoint source NIC, but the destination NIC and
+    // the backplane carry foreground work until 2.0.
+    EXPECT_DOUBLE_EQ(nw.wire_transfer(1.0, 1, 2, 1'000'000, true), 3.0);
+    // A second background transfer also queues behind the first.
+    EXPECT_DOUBLE_EQ(nw.wire_transfer(0.0, 1, 0, 1'000'000, true), 4.0);
+  });
+}
+
 TEST(Network, NodeMapping) {
   NetworkParams p;
   p.procs_per_node = 4;
@@ -197,6 +250,56 @@ TEST(IoServer, QueueingDelaysLateArrivals) {
   EXPECT_DOUBLE_EQ(s.serve(0.0, "f", 0, 1'000'000), 1.0);
   // Issued at 0.5 but the disk is busy until 1.0.
   EXPECT_DOUBLE_EQ(s.serve(0.5, "f", 1'000'000, 1'000'000), 2.0);
+}
+
+// A background (drain) request booked ahead of a foreground request must
+// change neither the foreground request's queueing nor its seek: the two
+// classes queue and position independently, on the FIFO path (job < 0) and
+// the fair-share path (job >= 0) alike.
+TEST(IoServer, BackgroundRequestLeavesForegroundUnchanged) {
+  stor::DiskParams p;
+  p.seek_time = 1.0;
+  p.near_seek_time = 0.25;
+  p.bandwidth = 1.0e6;
+  p.request_overhead = 0.0;
+  for (int job : {-1, 0}) {
+    SCOPED_TRACE(job < 0 ? "fifo" : "fair-share");
+    stor::IoServer quiet(p), busy(p);
+    for (stor::IoServer* s : {&quiet, &busy}) {
+      EXPECT_DOUBLE_EQ(s->serve(0.0, "f", 0, 1'000'000, false, 0.0, job), 2.0);
+    }
+    // Background read of another object at 0.5: waits for the foreground
+    // request, pays a cold seek on its own head, reserves until 8.0.
+    double bg_wait = -1.0;
+    EXPECT_DOUBLE_EQ(busy.serve(0.5, "g", 0, 5'000'000, false, 0.0, job, 1.0,
+                                &bg_wait, /*background=*/true),
+                     8.0);
+    EXPECT_DOUBLE_EQ(bg_wait, 1.5);
+    // A sequential continuation of "f" is still seek-free and unqueued.
+    const double fg_quiet =
+        quiet.serve(2.0, "f", 1'000'000, 1'000'000, false, 0.0, job);
+    double fg_wait = -1.0;
+    const double fg_busy = busy.serve(2.0, "f", 1'000'000, 1'000'000, false,
+                                      0.0, job, 1.0, &fg_wait);
+    EXPECT_DOUBLE_EQ(fg_quiet, 3.0);
+    EXPECT_DOUBLE_EQ(fg_busy, fg_quiet);
+    EXPECT_DOUBLE_EQ(fg_wait, 0.0);
+    EXPECT_DOUBLE_EQ(busy.next_free(), quiet.next_free());
+    // The background class streams on its own head: "g" continues
+    // seek-free behind its own horizon.
+    EXPECT_DOUBLE_EQ(busy.serve(2.0, "g", 5'000'000, 1'000'000, false, 0.0,
+                                job, 1.0, nullptr, true),
+                     9.0);
+    EXPECT_EQ(busy.background_requests(), 2u);
+    EXPECT_EQ(busy.background_bytes(), 6'000'000u);
+    EXPECT_EQ(busy.requests(), 4u);
+    if (job >= 0) {
+      // Job 0's foreground ended at 3.0; its background work, booked to
+      // 9.0, does not make it an active tenant that stretches job 1.
+      EXPECT_DOUBLE_EQ(busy.serve(3.5, "h", 0, 1'000'000, true, 0.0, 1),
+                       4.75);
+    }
+  }
 }
 
 TEST(IoServer, ResetClearsState) {

@@ -266,6 +266,32 @@ TEST(Timeline, RaiseLiftsTheHorizonMonotonically) {
   EXPECT_DOUBLE_EQ(tl.acquire(0.0, 1.0), 6.0);  // queued behind the horizon
 }
 
+TEST(Timeline, BackgroundClassYieldsToForeground) {
+  Timeline tl;
+  EXPECT_DOUBLE_EQ(tl.acquire(0.0, 2.0), 2.0);
+  // Background waits for foreground work, then for earlier background.
+  EXPECT_DOUBLE_EQ(tl.acquire(1.0, 3.0, /*background=*/true), 5.0);
+  EXPECT_DOUBLE_EQ(tl.acquire(0.0, 1.0, /*background=*/true), 6.0);
+  EXPECT_DOUBLE_EQ(tl.earliest_start(0.0, /*background=*/true), 6.0);
+  // Foreground never reads the background horizon.
+  EXPECT_DOUBLE_EQ(tl.next_free(), 2.0);
+  EXPECT_DOUBLE_EQ(tl.earliest_start(0.0), 2.0);
+  EXPECT_DOUBLE_EQ(tl.acquire(3.0, 1.0), 4.0);
+  // A background proc's use_resource books the background class.
+  Engine::run(opts(1), [&](Proc& p) {
+    p.set_background_io();
+    p.use_resource(tl, 1.0, TimeCategory::kIo);
+    EXPECT_DOUBLE_EQ(p.now(), 7.0);
+    EXPECT_DOUBLE_EQ(tl.next_free(), 4.0);
+    p.clear_background_io();
+    p.use_resource(tl, 1.0, TimeCategory::kIo);
+    EXPECT_DOUBLE_EQ(p.now(), 8.0);
+    EXPECT_DOUBLE_EQ(tl.next_free(), 8.0);
+  });
+  tl.reset();
+  EXPECT_DOUBLE_EQ(tl.acquire(0.0, 1.0, /*background=*/true), 1.0);
+}
+
 // ---- scheduler backends ----------------------------------------------------
 
 Engine::Options backend_opts(int n, SchedBackend b) {
