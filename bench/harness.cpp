@@ -100,8 +100,7 @@ void absorb_run_stats(obs::Collector& col, const sim::Engine::Result& res,
 }  // namespace
 
 IoResult run_enzo_io(const RunSpec& spec) {
-  platform::Testbed tb(spec.machine, spec.nprocs, spec.sched_seed,
-                       spec.engine_backend);
+  platform::Testbed tb(spec.machine, spec.nprocs, spec.sched_seed);
   IoResult result;
 
   if (spec.tracer) tb.fs().attach_observer(spec.tracer);

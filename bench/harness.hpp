@@ -68,10 +68,6 @@ struct RunSpec {
   /// run under a different — equally legal — interleaving, for the
   /// schedule-perturbation differential harness.
   std::uint64_t sched_seed = 0;
-  /// Engine scheduler backend (fibers vs threads); kAuto resolves via
-  /// sim::Engine::Options::effective_backend().  The two backends produce
-  /// byte-identical runs — tests/test_scale.cpp holds them to it.
-  sim::SchedBackend engine_backend = sim::SchedBackend::kAuto;
 };
 
 /// Execute: initialise from the universe, evolve, timed checkpoint write,

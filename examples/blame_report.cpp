@@ -5,12 +5,13 @@
 // token transfers, retry backoff, deferred settles).
 //
 //   $ ./examples/blame_report [hdf4|mpiio|hdf5|pnetcdf] [--json out.json]
-//                             [--seed N] [--threads]
+//                             [--seed N]
 //
 // The JSON document follows the schema CI's obs-blame job validates; the
-// dump report is byte-identical across sched seeds and engine backends
-// (tests/test_obs_enzo.cpp holds it to that — restart blame is per-seed,
-// since demand reads race the cache and tied arbitration decides hits).
+// dump report is byte-identical from run to run, and for most backends
+// across sched seeds too (CI's obs-blame job and tests/test_obs_enzo.cpp
+// say which — restart blame is per-seed, since demand reads race the cache
+// and tied arbitration decides hits).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,7 +27,6 @@ int main(int argc, char** argv) {
   bench::Backend backend = bench::Backend::kMpiIo;
   std::string json_path;
   std::uint64_t seed = 0;
-  sim::SchedBackend engine = sim::SchedBackend::kAuto;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "hdf4") {
@@ -41,12 +41,10 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
     } else if (arg == "--seed" && i + 1 < argc) {
       seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--threads") {
-      engine = sim::SchedBackend::kThreads;
     } else {
       std::fprintf(stderr,
                    "usage: blame_report [hdf4|mpiio|hdf5|pnetcdf] "
-                   "[--json out.json] [--seed N] [--threads]\n");
+                   "[--json out.json] [--seed N]\n");
       return 2;
     }
   }
@@ -62,7 +60,6 @@ int main(int argc, char** argv) {
   spec.backend = backend;
   spec.collector = &collector;
   spec.sched_seed = seed;
-  spec.engine_backend = engine;
 
   bench::IoResult r = bench::run_enzo_io(spec);
   std::printf("backend %s: write %.3f s, read %.3f s (virtual)\n\n",

@@ -5,7 +5,7 @@
 //   $ ./examples/verify_dump --plant       # plant a defect, show the report
 //
 // `seed` feeds the engine's schedule perturbation (sim::Engine::Options::
-// perturb_seed): 0 is the classic lowest-rank baton order, any nonzero value
+// perturb_seed): 0 is the classic lowest-rank order, any nonzero value
 // executes the same program under a different — equally legal — interleaving.
 // A correct program must verify clean under every seed; that is exactly what
 // the schedule-perturbation differential tests in tests/test_verify.cpp

@@ -76,7 +76,6 @@ sim::Engine::Result Runtime::run(const std::function<void(Comm&)>& body) {
   o.nprocs = params_.nprocs;
   o.seed = params_.seed;
   o.perturb_seed = params_.perturb_seed;
-  o.backend = params_.backend;
   return sim::Engine::run(o, [this, &body](sim::Proc& proc) {
     Comm comm(*this, proc);
     body(comm);
@@ -110,7 +109,6 @@ std::vector<sim::Engine::JobResult> MultiRuntime::run(std::vector<Job> jobs) {
   sim::Engine::Options o;
   o.seed = jobs.front().params.seed;
   o.perturb_seed = jobs.front().params.perturb_seed;
-  o.backend = jobs.front().params.backend;
   return sim::Engine::run_jobs(o, std::move(specs));
 }
 

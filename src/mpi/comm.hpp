@@ -40,9 +40,6 @@ struct RuntimeParams {
   /// Scheduler tie-shuffle seed (sim::Engine::Options::perturb_seed);
   /// 0 keeps lowest-rank tie-breaks (PARAMRIO_SCHED_SEED may still apply).
   std::uint64_t perturb_seed = 0;
-  /// Scheduler backend (sim::Engine::Options::backend); kAuto resolves to
-  /// fibers except under ThreadSanitizer or PARAMRIO_SIM_ENGINE=threads.
-  sim::SchedBackend backend = sim::SchedBackend::kAuto;
 };
 
 class Comm;

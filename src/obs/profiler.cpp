@@ -1,15 +1,13 @@
 #include "obs/profiler.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 namespace paramrio::obs {
 
 namespace {
-// Proc threads are created after attach() and joined before detach(), so a
-// plain atomic pointer is enough — the engine's baton serialises all
-// recording calls.
-std::atomic<Collector*> g_collector{nullptr};
+// Every proc is a fiber on the thread that calls attach() and detach(), and
+// the engine serialises all recording calls, so a plain pointer is enough.
+Collector* g_collector = nullptr;
 }  // namespace
 
 const char* to_string(TimeCategory cat) {
@@ -42,11 +40,11 @@ const char* to_string(WaitKind kind) {
   return "?";
 }
 
-void attach(Collector* c) { g_collector.store(c, std::memory_order_release); }
+void attach(Collector* c) { g_collector = c; }
 
 void detach() { attach(nullptr); }
 
-Collector* collector() { return g_collector.load(std::memory_order_acquire); }
+Collector* collector() { return g_collector; }
 
 void Collector::begin_span(sim::Proc& proc, const char* name,
                            TimeCategory cat) {

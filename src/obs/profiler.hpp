@@ -189,13 +189,13 @@ class Collector {
 };
 
 /// Attach `c` as the process-wide collector (nullptr detaches).  Call
-/// outside Engine::run — proc threads read the pointer without locking.
+/// outside Engine::run.
 void attach(Collector* c);
 void detach();
 Collector* collector();
 
-/// RAII span: records into the attached collector while the calling thread
-/// is a simulated proc; otherwise free of side effects.
+/// RAII span: records into the attached collector while the caller is a
+/// simulated proc; otherwise free of side effects.
 class Span {
  public:
   Span(const char* name, TimeCategory cat) {

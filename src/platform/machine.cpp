@@ -116,7 +116,7 @@ Machine chiba_local_disk() {
 }
 
 Testbed::Testbed(const Machine& machine, int nprocs,
-                 std::uint64_t perturb_seed, sim::SchedBackend backend)
+                 std::uint64_t perturb_seed, sim::SchedBackend)
     : machine_(machine),
       runtime_([&] {
         mpi::RuntimeParams p;
@@ -125,7 +125,6 @@ Testbed::Testbed(const Machine& machine, int nprocs,
         p.nprocs = nprocs;
         p.extra_fabric_nodes = machine.extra_fabric_nodes();
         p.perturb_seed = perturb_seed;
-        p.backend = backend;
         return p;
       }()) {
   switch (machine_.fs_kind) {

@@ -6,6 +6,7 @@
 // not expected to match the original testbeds (see EXPERIMENTS.md).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -13,6 +14,14 @@
 #include "pfs/local_disk_fs.hpp"
 #include "pfs/local_fs.hpp"
 #include "pfs/striped_fs.hpp"
+
+// The engine has one scheduler (fibers), so this selects nothing.  It
+// exists only because bench/ledger/bench_ledger.cpp still passes
+// sim::SchedBackend::kFibers to Testbed and is not edited outside a
+// benchmark change; the next one deletes the argument, and this with it.
+namespace paramrio::sim {
+enum class SchedBackend : std::uint8_t { kFibers };
+}  // namespace paramrio::sim
 
 namespace paramrio::platform {
 
@@ -55,11 +64,10 @@ Machine chiba_local_disk();
 class Testbed {
  public:
   /// `perturb_seed` feeds sim::Engine::Options::perturb_seed (scheduler
-  /// tie-shuffle for race detection; 0 = classic lowest-rank order).
-  /// `backend` picks the engine's scheduler backend (fibers vs threads);
-  /// kAuto follows sim::Engine::Options::effective_backend().
+  /// tie-shuffle for race detection; 0 = classic lowest-rank order).  The
+  /// trailing sim::SchedBackend is ignored (see its declaration above).
   Testbed(const Machine& machine, int nprocs, std::uint64_t perturb_seed = 0,
-          sim::SchedBackend backend = sim::SchedBackend::kAuto);
+          sim::SchedBackend = sim::SchedBackend::kFibers);
 
   mpi::Runtime& runtime() { return runtime_; }
   pfs::FileSystem& fs() { return *fs_; }

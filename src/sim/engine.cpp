@@ -6,7 +6,6 @@
 #include <exception>
 #include <string>
 
-#include <pthread.h>
 #include <sys/mman.h>
 #include <ucontext.h>
 #include <unistd.h>
@@ -29,7 +28,11 @@
 #endif
 
 #if defined(PARAMRIO_ASAN)
+#include <pthread.h>
 #include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(PARAMRIO_TSAN)
+#include <sanitizer/tsan_interface.h>
 #endif
 
 // The C++ runtime keeps per-thread exception state (the in-flight exception
@@ -70,14 +73,14 @@ void account(ProcStats& s, TimeCategory cat, double dt) {
   }
 }
 
-std::uint64_t env_u64(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == nullptr || *end != '\0') return 0;
-  return static_cast<std::uint64_t>(v);
-}
+/// Fiber stack size.  Stacks are lazily-committed guard-paged mmaps, so the
+/// virtual size is cheap and resident memory tracks actual use.  ASan's
+/// redzones inflate frames considerably.
+#if defined(PARAMRIO_ASAN)
+constexpr std::size_t kFiberStackBytes = 4 * 1024 * 1024;
+#else
+constexpr std::size_t kFiberStackBytes = 1024 * 1024;
+#endif
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -87,41 +90,12 @@ std::uint64_t env_u64(const char* name) {
 std::uint64_t Engine::Options::effective_perturb_seed() const {
   if (perturb_seed != 0) return perturb_seed;
   if (!env_perturb) return 0;
-  return env_u64("PARAMRIO_SCHED_SEED");
-}
-
-SchedBackend Engine::Options::effective_backend() const {
-#if defined(PARAMRIO_TSAN)
-  // TSan instruments OS-thread synchronisation; it neither understands
-  // swapcontext stack switches nor has anything to verify on a
-  // single-threaded scheduler.  The thread backend is the one with real
-  // cross-thread hand-offs, so it is what TSan runs — unconditionally
-  // (docs/SCALING.md).
-  return SchedBackend::kThreads;
-#else
-  if (backend != SchedBackend::kAuto) return backend;
-  const char* env = std::getenv("PARAMRIO_SIM_ENGINE");
-  if (env != nullptr && std::strcmp(env, "threads") == 0) {
-    return SchedBackend::kThreads;
-  }
-  return SchedBackend::kFibers;
-#endif
-}
-
-std::size_t Engine::Options::effective_fiber_stack_bytes() const {
-  constexpr std::size_t kMin = 64 * 1024;
-  std::size_t bytes = fiber_stack_bytes;
-  if (bytes == 0) {
-    bytes = static_cast<std::size_t>(env_u64("PARAMRIO_FIBER_STACK_KB")) * 1024;
-  }
-  if (bytes == 0) {
-#if defined(PARAMRIO_ASAN)
-    bytes = 4 * 1024 * 1024;  // ASan redzones inflate frames considerably
-#else
-    bytes = 1024 * 1024;
-#endif
-  }
-  return bytes < kMin ? kMin : bytes;
+  const char* env = std::getenv("PARAMRIO_SCHED_SEED");
+  if (env == nullptr || *env == '\0') return 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(env, &end, 10);
+  if (end == nullptr || *end != '\0') return 0;
+  return static_cast<std::uint64_t>(v);
 }
 
 // ---------------------------------------------------------------------------
@@ -198,11 +172,8 @@ double Proc::end_deferred() {
 
 void Proc::block() {
   PARAMRIO_REQUIRE(!deferred_, "block: cannot block while deferred");
-  {
-    std::lock_guard<std::mutex> l(engine_->mu_);
-    engine_->states_[static_cast<std::size_t>(global_)] =
-        Engine::State::kBlocked;
-  }
+  engine_->states_[static_cast<std::size_t>(global_)] =
+      Engine::State::kBlocked;
   engine_->yield_from(global_);
 }
 
@@ -219,6 +190,9 @@ struct Engine::Fiber {
   bool done = false;          ///< will never run again; stack reclaimable
   EhGlobals eh{};             ///< C++ runtime exception state while suspended
   void* asan_fake_stack = nullptr;
+#if defined(PARAMRIO_TSAN)
+  void* tsan_fiber = nullptr;  ///< TSan's context for this stack
+#endif
 };
 
 // ---------------------------------------------------------------------------
@@ -273,8 +247,6 @@ std::vector<Engine::JobResult> Engine::execute(const Options& options,
     perturb_ = true;
     perturb_rng_ = Rng(perturb);
   }
-  backend_ = options.effective_backend();
-  fiber_stack_bytes_ = options.effective_fiber_stack_bytes();
 
   // Per-rank RNG streams are drawn from the root seed in global rank order,
   // so a single-job run is seeded exactly as it always was.
@@ -300,21 +272,15 @@ std::vector<Engine::JobResult> Engine::execute(const Options& options,
   }
   states_.assign(static_cast<std::size_t>(total), State::kRunnable);
   // Seed the ready queue with every suspended runnable proc.  Global proc 0
-  // is dispatched first without a scheduling pick (both backends hand it the
-  // first baton unconditionally), so it starts out claimed.
-  for (int g = 1; g < total; ++g) ready_insert_locked(g);
-  current_ = 0;
+  // is dispatched first without a scheduling pick, so it starts out claimed.
+  for (int g = 1; g < total; ++g) ready_insert(g);
 
   // Support nesting (an Engine::run inside a proc body): the inner run owns
   // t_current_proc while it executes and must hand it back.
   Proc* outer = t_current_proc;
   t_current_proc = nullptr;
   try {
-    if (backend_ == SchedBackend::kThreads) {
-      run_threads();
-    } else {
-      run_fibers();
-    }
+    run_fibers();
   } catch (...) {
     t_current_proc = outer;
     throw;
@@ -344,120 +310,7 @@ std::vector<Engine::JobResult> Engine::execute(const Options& options,
 }
 
 // ---------------------------------------------------------------------------
-// Thread backend (one OS thread per rank; kept for TSan and for differential
-// testing of the fiber scheduler — both must serialise identically)
-// ---------------------------------------------------------------------------
-
-void Engine::run_threads() {
-  cvs_.reserve(procs_.size());
-  for (std::size_t i = 0; i < procs_.size(); ++i) {
-    cvs_.push_back(std::make_unique<std::condition_variable>());
-  }
-  std::vector<std::thread> threads;
-  threads.reserve(procs_.size());
-  for (int g = 0; g < total_procs(); ++g) {
-    threads.emplace_back([this, g] { thread_main(g); });
-  }
-  for (auto& t : threads) t.join();
-}
-
-void Engine::thread_main(int global) {
-  Proc& proc = procs_[static_cast<std::size_t>(global)];
-  t_current_proc = &proc;
-  // Wait for the baton before touching any shared state.
-  {
-    std::unique_lock<std::mutex> l(mu_);
-    cvs_[static_cast<std::size_t>(global)]->wait(
-        l, [&] { return current_ == global || aborted_; });
-  }
-  bool clean = false;
-  try {
-    if (!aborted_) {
-      body_of(global)(proc);
-      clean = true;
-    }
-  } catch (const Aborted&) {
-    // Another rank failed; just unwind quietly.
-  } catch (...) {
-    {
-      std::lock_guard<std::mutex> l(mu_);
-      states_[static_cast<std::size_t>(global)] = State::kFinished;
-      abort_locked(std::current_exception());
-    }
-    release_unwind(global);
-    t_current_proc = nullptr;
-    return;
-  }
-  if (clean && !aborted_) {
-    // The baton is still ours here: the observer sees serialised state.
-    observe_finish(global);
-  }
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    states_[static_cast<std::size_t>(global)] = State::kFinished;
-    if (clean && !aborted_) {
-      pass_baton_locked();
-    }
-  }
-  release_unwind(global);
-  t_current_proc = nullptr;
-}
-
-void Engine::acquire_unwind_locked(std::unique_lock<std::mutex>& l,
-                                   int global) {
-  if (unwinder_ == global) return;
-  unwind_cv_.wait(l, [&] { return unwinder_ == -1; });
-  unwinder_ = global;
-}
-
-void Engine::release_unwind(int global) {
-  std::lock_guard<std::mutex> l(mu_);
-  if (unwinder_ == global) {
-    unwinder_ = -1;
-    unwind_cv_.notify_all();
-  }
-}
-
-void Engine::yield_threads(int global, bool unwinding) {
-  std::unique_lock<std::mutex> l(mu_);
-  if (aborted_) {
-    // The baton stops circulating at abort, but the destructors that land
-    // here still touch shared state; the unwind token keeps post-abort
-    // unwinding mutually exclusive (one rank at a time).
-    acquire_unwind_locked(l, global);
-    if (unwinding) return;
-    throw Aborted{};
-  }
-  // Still runnable (a blocking proc flipped its state before yielding):
-  // rejoin the ready queue at the current clock before picking, so the pick
-  // sees the same candidate set the old full scan did.
-  if (states_[static_cast<std::size_t>(global)] == State::kRunnable) {
-    ready_insert_locked(global);
-  }
-  pass_baton_locked();
-  if (current_ != global) {
-    cvs_[static_cast<std::size_t>(global)]->wait(
-        l, [&] { return current_ == global || aborted_; });
-  }
-  if (aborted_) {
-    acquire_unwind_locked(l, global);
-    if (unwinding) return;
-    throw Aborted{};
-  }
-}
-
-void Engine::pass_baton_locked() {
-  int next = pick_claim_locked();
-  if (next >= 0) {
-    current_ = next;
-    cvs_[static_cast<std::size_t>(next)]->notify_one();
-    return;
-  }
-  current_ = -1;
-}
-
-// ---------------------------------------------------------------------------
-// Fiber backend (run-to-yield continuations on one OS thread)
+// Fibers (run-to-yield continuations on one OS thread)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -474,7 +327,8 @@ void Engine::run_fibers() {
   const long page = ::sysconf(_SC_PAGESIZE);
   PARAMRIO_REQUIRE(page > 0, "sysconf(_SC_PAGESIZE) failed");
   const std::size_t pagesz = static_cast<std::size_t>(page);
-  std::size_t stack_len = (fiber_stack_bytes_ + pagesz - 1) & ~(pagesz - 1);
+  const std::size_t stack_len =
+      (kFiberStackBytes + pagesz - 1) & ~(pagesz - 1);
 
   sched_fiber_ = std::make_unique<Fiber>();
 #if defined(PARAMRIO_ASAN)
@@ -492,6 +346,11 @@ void Engine::run_fibers() {
     sched_fiber_->stack_lo = lo;
     sched_fiber_->stack_len = len;
   }
+#endif
+#if defined(PARAMRIO_TSAN)
+  // The scheduler runs on whatever context called run(): the OS thread, or
+  // an outer run's fiber when runs nest.
+  sched_fiber_->tsan_fiber = __tsan_get_current_fiber();
 #endif
 
   fibers_.reserve(procs_.size());
@@ -514,18 +373,20 @@ void Engine::run_fibers() {
     PARAMRIO_REQUIRE(::getcontext(&f->ctx) == 0, "getcontext failed");
     f->ctx.uc_stack.ss_sp = f->stack_lo;
     f->ctx.uc_stack.ss_size = f->stack_len;
-    f->ctx.uc_link = nullptr;  // fibers exit via finish_fiber, never return
+    f->ctx.uc_link = nullptr;  // fibers exit via fiber_main's last switch
     // Two-step cast: makecontext takes void(*)() while the trampoline has
     // real parameters; going via void* sidesteps -Wcast-function-type.
     void (*entry)() = reinterpret_cast<void (*)()>(
         reinterpret_cast<void*>(&Engine::fiber_trampoline));
     ::makecontext(&f->ctx, entry, 3, static_cast<unsigned>(self >> 32),
                   static_cast<unsigned>(self & 0xffffffffu), g);
+#if defined(PARAMRIO_TSAN)
+    f->tsan_fiber = __tsan_create_fiber(0);
+#endif
     fibers_.push_back(std::move(f));
   }
 
-  // Initial dispatch: global proc 0, with no scheduling pick — exactly as
-  // the thread backend hands the first baton to rank 0 (RNG-draw parity).
+  // Initial dispatch: global proc 0, with no scheduling pick.
   switch_to(-1, 0, false);
 
   // Control returns here once the run is over: after a clean run the last
@@ -547,6 +408,9 @@ void Engine::run_fibers() {
   }
 
   for (auto& f : fibers_) {
+#if defined(PARAMRIO_TSAN)
+    __tsan_destroy_fiber(f->tsan_fiber);
+#endif
     if (f->map_base != nullptr) ::munmap(f->map_base, f->map_len);
   }
   fibers_.clear();
@@ -574,53 +438,15 @@ void Engine::fiber_main(int global) {
   } catch (const Aborted&) {
     // Another rank failed; we just unwound quietly.
   } catch (...) {
-    std::lock_guard<std::mutex> l(mu_);
-    states_[static_cast<std::size_t>(global)] = State::kFinished;
-    abort_locked(std::current_exception());
+    abort_run(std::current_exception());
   }
   if (clean && !aborted_) observe_finish(global);
-  int next = -1;
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    states_[static_cast<std::size_t>(global)] = State::kFinished;
-    // Exactly one scheduling pick per clean finish — the same RNG-draw
-    // cadence as the thread backend's pass_baton_locked.
-    if (clean && !aborted_) next = pick_claim_locked();
-  }
+  states_[static_cast<std::size_t>(global)] = State::kFinished;
+  // Exactly one scheduling pick per clean finish.
+  const int next = clean && !aborted_ ? pick_claim() : -1;
   switch_to(global, aborted_ ? -1 : next, /*from_dying=*/true);
   // A dead fiber can never be rescheduled; reaching here is a scheduler bug.
   std::abort();
-}
-
-void Engine::yield_fibers(int global, bool unwinding) {
-  int next;
-  {
-    std::unique_lock<std::mutex> l(mu_);
-    if (aborted_) {
-      // No unwind token needed: the drain loop resumes one fiber at a time
-      // on this single thread, so post-abort unwinding is serial by
-      // construction.
-      if (unwinding) return;
-      throw Aborted{};
-    }
-    if (states_[static_cast<std::size_t>(global)] == State::kRunnable) {
-      ready_insert_locked(global);
-    }
-    next = pick_claim_locked();
-  }
-  if (aborted_) {
-    // We just detected the deadlock ourselves; unwind this proc too.
-    if (unwinding) return;
-    throw Aborted{};
-  }
-  if (next == global) return;  // still the minimum: keep running
-  switch_to(global, next, false);
-  // Somebody resumed us: either the schedule reached our clock again, or
-  // the drain loop wants us to unwind.
-  if (aborted_) {
-    if (unwinding) return;
-    throw Aborted{};
-  }
 }
 
 void Engine::switch_to(int from, int next, bool from_dying) {
@@ -629,13 +455,15 @@ void Engine::switch_to(int from, int next, bool from_dying) {
   Fiber& to_f = next < 0 ? *sched_fiber_
                          : *fibers_[static_cast<std::size_t>(next)];
   if (from_dying && from >= 0) from_f.done = true;
-  current_ = next;
   t_current_proc =
       next < 0 ? nullptr : &procs_[static_cast<std::size_t>(next)];
   swap_eh_globals(from_f.eh, to_f.eh);
 #if defined(PARAMRIO_ASAN)
   __sanitizer_start_switch_fiber(from_dying ? nullptr : &from_f.asan_fake_stack,
                                  to_f.stack_lo, to_f.stack_len);
+#endif
+#if defined(PARAMRIO_TSAN)
+  __tsan_switch_to_fiber(to_f.tsan_fiber, 0);
 #endif
   PARAMRIO_REQUIRE(::swapcontext(&from_f.ctx, &to_f.ctx) == 0,
                    "swapcontext failed");
@@ -645,7 +473,7 @@ void Engine::switch_to(int from, int next, bool from_dying) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared scheduler core
+// Scheduler core
 // ---------------------------------------------------------------------------
 
 void Engine::yield_from(int global) {
@@ -655,18 +483,25 @@ void Engine::yield_from(int global) {
   // so once the run is aborted we must return instead of throwing: the
   // virtual time of a dying run is meaningless, but terminate() is not.
   const bool unwinding = std::uncaught_exceptions() > 0;
-  if (backend_ == SchedBackend::kThreads) {
-    yield_threads(global, unwinding);
-  } else {
-    yield_fibers(global, unwinding);
+  if (!aborted_) {
+    if (states_[static_cast<std::size_t>(global)] == State::kRunnable) {
+      ready_insert(global);
+    }
+    // pick_claim aborts the run itself when it finds a deadlock.
+    const int next = pick_claim();
+    if (next != global && !aborted_) switch_to(global, next, false);
   }
+  // Still the minimum, or resumed: either the schedule reached our clock
+  // again, or the run was aborted and the drain loop (one fiber at a time,
+  // so post-abort unwinding is serial by construction) wants us to unwind.
+  if (aborted_ && !unwinding) throw Aborted{};
 }
 
-void Engine::ready_insert_locked(int global) {
+void Engine::ready_insert(int global) {
   ready_.emplace(procs_[static_cast<std::size_t>(global)].now(), global);
 }
 
-int Engine::pick_next_locked() {
+int Engine::pick_next() {
   // The queue holds every runnable proc (the yielding proc re-inserted
   // itself before this call), ordered by (clock, global index) — so begin()
   // is exactly the proc the old linear scan found: lowest clock, ties to the
@@ -695,8 +530,8 @@ int Engine::pick_next_locked() {
   return it->second;
 }
 
-int Engine::pick_claim_locked() {
-  int next = pick_or_deadlock_locked();
+int Engine::pick_claim() {
+  int next = pick_or_deadlock();
   if (next >= 0) {
     // Claimed: the proc is about to run and its clock will move, so it must
     // leave the queue (suspended entries rely on frozen clocks).
@@ -705,8 +540,8 @@ int Engine::pick_claim_locked() {
   return next;
 }
 
-int Engine::pick_or_deadlock_locked() {
-  int next = pick_next_locked();
+int Engine::pick_or_deadlock() {
+  int next = pick_next();
   if (next >= 0) return next;
   // Nobody runnable: either everyone finished (fine) or deadlock.
   bool all_finished =
@@ -720,20 +555,18 @@ int Engine::pick_or_deadlock_locked() {
     if (g_run_observer != nullptr) {
       // The verify layer (when attached) knows what each blocked rank was
       // doing — the collective it entered, the peer its receive awaits —
-      // and renders the wait-for cycle.  Serialised: we hold the engine
-      // lock and no proc is runnable.
+      // and renders the wait-for cycle.  Serialised: no proc is runnable.
       const std::string diagnosis = g_run_observer->diagnose_deadlock();
       if (!diagnosis.empty()) message += "\n" + diagnosis;
     }
-    abort_locked(std::make_exception_ptr(DeadlockError(message)));
+    abort_run(std::make_exception_ptr(DeadlockError(message)));
   }
   return -1;
 }
 
-void Engine::abort_locked(std::exception_ptr e) {
+void Engine::abort_run(std::exception_ptr e) {
   if (!first_error_) first_error_ = e;
   aborted_ = true;
-  for (auto& cv : cvs_) cv->notify_all();
 }
 
 void Engine::observe_finish(int global) {
@@ -745,10 +578,9 @@ void Engine::observe_finish(int global) {
 void Engine::signal(int global_rank) {
   PARAMRIO_REQUIRE(global_rank >= 0 && global_rank < total_procs(),
                    "signal: bad rank");
-  std::lock_guard<std::mutex> l(mu_);
   if (states_[static_cast<std::size_t>(global_rank)] == State::kBlocked) {
     states_[static_cast<std::size_t>(global_rank)] = State::kRunnable;
-    ready_insert_locked(global_rank);
+    ready_insert(global_rank);
   }
 }
 

@@ -13,25 +13,17 @@
 //   * zero data races: all user code is serialised by the scheduler, so the
 //     layered libraries need no locking of their own.
 //
-// Two scheduler backends implement that contract:
+// Every proc is a lightweight run-to-yield continuation (a ucontext fiber)
+// on the caller's OS thread.  A yield is a user-space context switch,
+// current_proc() is a scheduler-maintained pointer, and abort unwinds procs
+// one by one on that same thread.  Nothing is shared with another OS
+// thread, so the engine takes no locks; a nested Engine::run is a separate
+// Engine on the same thread.  One process comfortably simulates tens of
+// thousands of ranks in bounded memory (stacks are lazily-committed mmaps).
 //
-//   * kFibers (default): every proc is a lightweight run-to-yield
-//     continuation (ucontext fiber) on one OS thread.  A yield is a
-//     user-space context switch, current_proc() is a scheduler-maintained
-//     pointer rather than OS-thread identity, and abort unwinds procs one by
-//     one on the single scheduler thread — no joins, no unwind token.  One
-//     process comfortably simulates tens of thousands of ranks in bounded
-//     memory (stacks are lazily-committed mmaps).
-//   * kThreads: the original one-OS-thread-per-rank implementation with a
-//     baton of condition variables.  Kept for differential testing of the
-//     scheduler itself and for ThreadSanitizer, which wants real cross-
-//     thread hand-offs to verify (see docs/SCALING.md).
-//
-// Both backends produce byte-identical runs (same serialisation order, same
-// perturbation RNG draws).  Procs advance their clocks with Proc::advance();
-// blocking primitives (Proc::block / Engine::signal) underpin message
-// receive.  If every unfinished proc is blocked the engine throws
-// DeadlockError.
+// Procs advance their clocks with Proc::advance(); blocking primitives
+// (Proc::block / Engine::signal) underpin message receive.  If every
+// unfinished proc is blocked the engine throws DeadlockError.
 //
 // Multi-job tenancy: run_jobs() schedules several independent jobs — each
 // with its own rank set, clock offset and fair-share weight — inside one
@@ -44,11 +36,8 @@
 #include <exception>
 #include <memory>
 #include <functional>
-#include <mutex>
-#include <condition_variable>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -237,8 +226,8 @@ class Proc {
 
 /// Passive observer of engine-level events, for the verify layer (the
 /// engine itself stays dependency-free).  Install with set_run_observer()
-/// outside a run; all callbacks arrive serialised (either from the proc
-/// holding the schedule or under the engine lock at abort time).
+/// outside a run; all callbacks arrive serialised, from the proc holding
+/// the schedule.
 class RunObserver {
  public:
   virtual ~RunObserver() = default;
@@ -259,14 +248,6 @@ class RunObserver {
 /// outside Engine::run.
 void set_run_observer(RunObserver* obs);
 RunObserver* run_observer();
-
-/// Scheduler implementation behind Engine::run (see the header comment).
-enum class SchedBackend : std::uint8_t {
-  kAuto,     ///< fibers, unless built under TSan or PARAMRIO_SIM_ENGINE says
-             ///< otherwise
-  kFibers,   ///< run-to-yield continuations on one OS thread (default)
-  kThreads,  ///< one OS thread per rank (differential testing, TSan)
-};
 
 /// The engine itself.  Construct, then call run() with the per-rank body.
 class Engine {
@@ -291,31 +272,10 @@ class Engine {
     /// classic lowest-rank tie order pin it with this.
     bool env_perturb = true;
 
-    /// Scheduler backend.  kAuto resolves to kFibers, overridable with the
-    /// PARAMRIO_SIM_ENGINE environment variable ("fibers" | "threads").
-    /// Builds under ThreadSanitizer always resolve to kThreads — TSan does
-    /// not understand swapcontext stack switches, has nothing to verify on
-    /// a single-threaded scheduler, and the thread backend is the one with
-    /// real cross-thread hand-offs for it to check (docs/SCALING.md).
-    SchedBackend backend = SchedBackend::kAuto;
-
-    /// Per-fiber stack size in bytes (fiber backend only).  0 picks the
-    /// default — 512 KiB, or 2 MiB under Address/MemorySanitizer (redzones
-    /// inflate frames) — overridable with PARAMRIO_FIBER_STACK_KB.  Stacks
-    /// are lazily-committed guard-paged mmaps, so virtual size is cheap and
-    /// resident memory tracks actual use.
-    std::size_t fiber_stack_bytes = 0;
-
     /// The seed the engine will actually use: `perturb_seed` when nonzero,
     /// else the PARAMRIO_SCHED_SEED environment variable (0 on absence, a
     /// malformed value, or `env_perturb` false).
     std::uint64_t effective_perturb_seed() const;
-
-    /// The backend the engine will actually use (resolves kAuto).
-    SchedBackend effective_backend() const;
-
-    /// The fiber stack size the engine will actually use.
-    std::size_t effective_fiber_stack_bytes() const;
   };
 
   /// One application of a multi-tenant run: `nprocs` ranks executing `body`,
@@ -390,22 +350,8 @@ class Engine {
                                  std::vector<JobSpec> jobs);
   const std::function<void(Proc&)>& body_of(int global) const;
 
-  // ---- thread backend ---------------------------------------------------
-  void run_threads();
-  void thread_main(int global);
-  void yield_threads(int global, bool unwinding);
-  void pass_baton_locked();
-  /// Post-abort unwind serialisation: at most one proc thread at a time may
-  /// run destructors after the run is aborted (they touch shared layers —
-  /// file systems, the obs collector — that rely on the serial schedule for
-  /// mutual exclusion, and that schedule is gone once the run aborts).
-  void acquire_unwind_locked(std::unique_lock<std::mutex>& l, int global);
-  void release_unwind(int global);
-
-  // ---- fiber backend ----------------------------------------------------
   void run_fibers();
   void fiber_main(int global);
-  void yield_fibers(int global, bool unwinding);
   /// Dispatch fiber `next` from the context of `from` (-1: the scheduler).
   /// `from_dying` marks `from` as permanently done (its stack may be freed
   /// once control leaves it).
@@ -413,22 +359,23 @@ class Engine {
   /// makecontext entry point; the Engine* travels as two ints.
   static void fiber_trampoline(unsigned hi, unsigned lo, int global);
 
-  // ---- shared scheduler core -------------------------------------------
+  // ---- scheduler core ---------------------------------------------------
+  /// Re-queue the running proc `global` (unless it blocked), pick the next
+  /// one and switch to it; returns once `global` is picked again.  Throws
+  /// Aborted to unwind the proc's body once the run is aborted.
   void yield_from(int global);
-  int pick_next_locked();
-  /// pick_next_locked, plus deadlock handling: when nothing is runnable but
+  int pick_next();
+  /// pick_next, plus deadlock handling: when nothing is runnable but
   /// unfinished procs remain, aborts the run with a diagnosed DeadlockError
   /// and returns -1; returns -1 with no error when everything finished.
-  int pick_or_deadlock_locked();
-  /// pick_or_deadlock_locked, plus claiming: the picked proc is removed from
-  /// the ready queue (it is about to run, and a running proc's clock moves).
-  int pick_claim_locked();
-  void ready_insert_locked(int global);
-  void abort_locked(std::exception_ptr e);
+  int pick_or_deadlock();
+  /// pick_or_deadlock, plus claiming: the picked proc is removed from the
+  /// ready queue (it is about to run, and a running proc's clock moves).
+  int pick_claim();
+  void ready_insert(int global);
+  void abort_run(std::exception_ptr e);
   void observe_finish(int global);
 
-  std::mutex mu_;
-  std::vector<std::unique_ptr<std::condition_variable>> cvs_;  // per proc
   std::vector<Proc> procs_;
   std::vector<State> states_;
   /// Suspended runnable procs ordered by (clock, global index) — the pick
@@ -440,13 +387,8 @@ class Engine {
   std::set<std::pair<double, int>> ready_;
   std::vector<JobInfo> jobs_;
   std::vector<const std::function<void(Proc&)>*> bodies_;  ///< per job
-  SchedBackend backend_ = SchedBackend::kFibers;
-  std::size_t fiber_stack_bytes_ = 0;
-  int current_ = 0;
   bool aborted_ = false;
   std::exception_ptr first_error_;
-  int unwinder_ = -1;  ///< rank holding the post-abort unwind token (threads)
-  std::condition_variable unwind_cv_;
   bool perturb_ = false;
   Rng perturb_rng_{0};  ///< tie-shuffle stream (perturb_ only)
 
@@ -456,10 +398,9 @@ class Engine {
   friend class Proc;
 };
 
-/// The Proc currently executing simulated code.  With the fiber backend this
-/// is a scheduler-maintained pointer (no OS-thread identity involved); with
-/// the thread backend it is the calling thread's proc.  Throws LogicError if
-/// no simulated proc is executing.
+/// The Proc currently executing simulated code: a scheduler-maintained
+/// pointer, since every proc is a fiber on one OS thread.  Throws LogicError
+/// if no simulated proc is executing.
 Proc& current_proc();
 
 /// True when called from simulated-processor code.

@@ -112,7 +112,7 @@ struct VerifierOptions {
 
 /// The verifier.  Construct, attach() it, run the program under test, then
 /// inspect report().  Hooks are invoked by the mpi layer only while a
-/// verifier is attached; all hooks arrive baton-serialised.
+/// verifier is attached; all hooks arrive serialised by the engine.
 class Verifier final : public sim::RunObserver {
  public:
   explicit Verifier(VerifierOptions options = {});

@@ -2,8 +2,8 @@
 //
 //   * Oracle matrix: every extract, particle range query and metadata
 //     lookup is byte-compared against an untimed re-read of the stored dump
-//     bytes, for all four backends, schedule seeds {0,1,2} and both engine
-//     backends; results and physical-read counters are schedule-invariant.
+//     bytes, for all four backends and schedule seeds {0,1,2}; results and
+//     physical-read counters are schedule-invariant.
 //   * Shared cache: N readers of the same hot region cost one physical
 //     fetch per distinct sieve block; cache on/off, cold/warm, tiny
 //     capacities and prefetch overlap all return identical bytes.
@@ -189,7 +189,6 @@ amr::ParticleSet oracle_particles(const stor::ObjectStore& store,
 struct RunConfig {
   Kind kind = Kind::kMpiIo;
   std::uint64_t seed = 0;
-  sim::SchedBackend engine = sim::SchedBackend::kFibers;
   bool cache_enabled = true;
   bool sieving = true;
   bool overlap = false;
@@ -232,13 +231,9 @@ struct RunOutcome {
 /// every rank issue the shared request set concurrently.  Results are
 /// oracle-checked against the stored bytes and across ranks before return.
 RunOutcome run_query(const RunConfig& cfg) {
-  const std::string label = std::string(to_cstr(cfg.kind)) + "/seed" +
-                            std::to_string(cfg.seed) + "/" +
-                            (cfg.engine == sim::SchedBackend::kThreads
-                                 ? "threads"
-                                 : "fibers");
-  platform::Testbed tb(platform::chiba_pvfs_ethernet(), kProcs, cfg.seed,
-                       cfg.engine);
+  const std::string label =
+      std::string(to_cstr(cfg.kind)) + "/seed" + std::to_string(cfg.seed);
+  platform::Testbed tb(platform::chiba_pvfs_ethernet(), kProcs, cfg.seed);
   std::unique_ptr<pfs::LocalDiskFs> staging;
   std::unique_ptr<stage::StagedFs> staged;
   pfs::FileSystem* fs = &tb.fs();
@@ -381,7 +376,7 @@ void expect_same_payload(const RunOutcome& a, const RunOutcome& b,
 }
 
 // ---------------------------------------------------------------------------
-// Oracle matrix: backends x schedule seeds x engine backends.
+// Oracle matrix: backends x schedule seeds.
 // ---------------------------------------------------------------------------
 
 class QueryDifferential : public ::testing::TestWithParam<std::uint64_t> {};
@@ -392,26 +387,14 @@ TEST_P(QueryDifferential, AllBackendsAllEnginesMatchTheOracle) {
     RunConfig cfg;
     cfg.kind = kind;
     cfg.seed = seed;
-    cfg.engine = sim::SchedBackend::kFibers;
-    const RunOutcome fibers = run_query(cfg);
-    EXPECT_EQ(fibers.index.format, format_of(kind));
-    EXPECT_EQ(fibers.index_builds, 1u);
-    EXPECT_GT(fibers.demand_fetches, 0u);
+    const RunOutcome out = run_query(cfg);
+    EXPECT_EQ(out.index.format, format_of(kind));
+    EXPECT_EQ(out.index_builds, 1u);
+    EXPECT_GT(out.demand_fetches, 0u);
     // Four identical readers share one cache: the physical fetch count is
     // bounded by one reader's block touches, never scaled by N.
-    EXPECT_LE(fibers.demand_fetches, fibers.rank0_blocks);
-    EXPECT_GT(fibers.cache_hits, 0u);
-
-    cfg.engine = sim::SchedBackend::kThreads;
-    const RunOutcome threads = run_query(cfg);
-    const std::string label = std::string(to_cstr(kind)) + "/seed" +
-                              std::to_string(seed) + " fibers-vs-threads";
-    expect_same_payload(fibers, threads, label);
-    // Physical-read accounting is schedule-invariant: same demand fetches,
-    // same bytes, same planned runs on either engine.
-    EXPECT_EQ(fibers.demand_fetches, threads.demand_fetches) << label;
-    EXPECT_EQ(fibers.fetched_bytes, threads.fetched_bytes) << label;
-    EXPECT_EQ(fibers.planned_runs, threads.planned_runs) << label;
+    EXPECT_LE(out.demand_fetches, out.rank0_blocks);
+    EXPECT_GT(out.cache_hits, 0u);
   }
 }
 

@@ -292,25 +292,22 @@ TEST(Timeline, BackgroundClassYieldsToForeground) {
   EXPECT_DOUBLE_EQ(tl.acquire(0.0, 1.0, /*background=*/true), 1.0);
 }
 
-// ---- scheduler backends ----------------------------------------------------
+// ---- scheduling order ------------------------------------------------------
 
-Engine::Options backend_opts(int n, SchedBackend b) {
-  Engine::Options o = opts(n);
-  o.backend = b;
-  o.env_perturb = false;
-  return o;
-}
-
-/// Run the same mixed advance/block/signal workload on one backend and
-/// return (execution order, finish times).
-std::pair<std::vector<int>, std::vector<double>> backend_trace(
-    SchedBackend b, std::uint64_t perturb) {
-  Engine::Options o = backend_opts(6, b);
+/// A 6-proc advance/block/signal workload with equal-clock ties at every
+/// step: even ranks advance by exactly 1.0, so they meet at every integer
+/// clock, while odd ranks take RNG-drawn steps that interleave with them.
+/// Returns (execution order, finish times); -3 marks rank 3 resuming after
+/// its block.
+std::pair<std::vector<int>, std::vector<double>> schedule_trace(
+    std::uint64_t perturb) {
+  Engine::Options o = classic_opts(6);
   o.perturb_seed = perturb;
   std::vector<int> order;
   auto r = Engine::run(o, [&](Proc& p) {
+    const bool unit = p.rank() % 2 == 0;
     for (int i = 0; i < 4; ++i) {
-      p.advance(p.rng().next_double() + 0.01);
+      p.advance(unit ? 1.0 : p.rng().next_double() + 0.5);
       order.push_back(p.rank());
       if (p.rank() == 3 && i == 1) {
         p.block();
@@ -322,29 +319,44 @@ std::pair<std::vector<int>, std::vector<double>> backend_trace(
   return {order, r.finish_times};
 }
 
-TEST(EngineBackends, FiberAndThreadRunsAreIdentical) {
-  for (std::uint64_t perturb : {0ull, 1ull, 2ull}) {
-    auto fib = backend_trace(SchedBackend::kFibers, perturb);
-    auto thr = backend_trace(SchedBackend::kThreads, perturb);
-    EXPECT_EQ(fib.first, thr.first) << "perturb=" << perturb;
-    EXPECT_EQ(fib.second, thr.second) << "perturb=" << perturb;
+// The golden schedule.  A perturbed pick draws among the equal-clock prefix
+// of the ready queue, enumerated in index order, and the clean finish of a
+// proc makes exactly one pick.  Any rewrite of the ready queue or the fiber
+// switch must reproduce these orders exactly, or perturbed runs stop
+// reproducing across engine versions.
+TEST(EngineSchedule, GoldenOrderAndFinishTimesArePinned) {
+  const std::vector<std::vector<int>> golden = {
+      // seed 0: every tie goes to the lowest index
+      {3, 1, 0, 2, 4, 5, 3, 5, 1, 0, 2, 4, 5, -3, 3, 3, 1, 0, 2, 4, 1, 5, 0,
+       2, 4},
+      // seed 1
+      {3, 1, 0, 2, 4, 5, 3, 5, 1, 0, 4, 2, 5, -3, 3, 3, 1, 0, 2, 4, 1, 5, 0,
+       2, 4},
+      // seed 2
+      {3, 1, 2, 4, 0, 5, 3, 5, 1, 4, 2, 0, 5, -3, 3, 3, 1, 0, 2, 4, 1, 5, 4,
+       2, 0},
+  };
+  const std::vector<double> finish = {4.0, 3.15562862364999,
+                                      4.0, 2.3684682192461572,
+                                      4.0, 3.2138625028418808};
+  std::vector<std::vector<int>> orders;
+  for (std::uint64_t seed : {0ull, 1ull, 2ull}) {
+    auto [order, times] = schedule_trace(seed);
+    EXPECT_EQ(order, golden[seed]) << "perturb=" << seed;
+    EXPECT_EQ(times, finish) << "perturb=" << seed;
+    orders.push_back(std::move(order));
   }
+  // The tie shuffle is exercised: both perturbed orders leave the classic one.
+  EXPECT_NE(orders[1], orders[0]);
+  EXPECT_NE(orders[2], orders[0]);
 }
 
-TEST(EngineBackends, TsanOrExplicitSelectionResolves) {
-  Engine::Options o = opts(1);
-  // kAuto resolves to something concrete; explicit choices are honoured
-  // except under ThreadSanitizer, which pins kThreads (see docs/SCALING.md).
-  EXPECT_NE(o.effective_backend(), SchedBackend::kAuto);
-  o.backend = SchedBackend::kThreads;
-  EXPECT_EQ(o.effective_backend(), SchedBackend::kThreads);
-}
+// ---- fibers ----------------------------------------------------------------
 
 TEST(EngineBackends, FiberBackendScalesToManyProcs) {
-  // Far beyond what one-thread-per-rank could sensibly run under a test:
+  // Far beyond what one OS thread per rank could sensibly run under a test:
   // 2048 fibers, each doing real work, in one scheduler thread.
-  Engine::Options o = backend_opts(2048, SchedBackend::kFibers);
-  auto r = Engine::run(o, [](Proc& p) {
+  auto r = Engine::run(classic_opts(2048), [](Proc& p) {
     p.advance(0.001 * (p.rank() % 7 + 1));
     p.advance(0.5);
   });
@@ -352,16 +364,14 @@ TEST(EngineBackends, FiberBackendScalesToManyProcs) {
   EXPECT_DOUBLE_EQ(r.makespan, 0.007 + 0.5);
 }
 
-TEST(EngineBackends, FiberStackSizeOptionIsRespected) {
-  Engine::Options o = backend_opts(2, SchedBackend::kFibers);
-  o.fiber_stack_bytes = 256 * 1024;
-  // Recursion deep enough to need more than a page but well under 256 KiB.
+TEST(EngineBackends, DeepRecursionFitsTheDefaultFiberStack) {
+  // Recursion deep enough to need more than a page of fiber stack.
   std::function<double(Proc&, int)> rec = [&](Proc& p, int d) -> double {
     volatile char pad[512] = {0};
     if (d == 0) return pad[0] + p.now();
     return rec(p, d - 1);
   };
-  auto r = Engine::run(o, [&](Proc& p) {
+  auto r = Engine::run(classic_opts(2), [&](Proc& p) {
     p.advance(1.0);
     rec(p, 64);
   });

@@ -3,9 +3,8 @@
 //   * Differential: the same ENZO workload dumped through a StagedFs
 //     (LocalDiskFs staging in front of a StripedFs destination) must end up
 //     byte-identical — logical image and drained destination files — to a
-//     direct StripedFs dump, for all four backends, schedule seeds {0,1,2}
-//     and both engine backends, with clean check:: audits and clean verify::
-//     reports.
+//     direct StripedFs dump, for all four backends and schedule seeds
+//     {0,1,2}, with clean check:: audits and clean verify:: reports.
 //   * Crash consistency: a crash planted before/during/after the drain (on
 //     either tier, for sync and async policies) must always leave the
 //     series recoverable to exactly its latest committed generation — an
@@ -43,12 +42,10 @@ using stage::DrainPolicy;
 using stage::StagedFs;
 using stage::StagedFsParams;
 
-mpi::RuntimeParams rparams(int n, std::uint64_t perturb_seed = 0,
-                           sim::SchedBackend engine = sim::SchedBackend::kAuto) {
+mpi::RuntimeParams rparams(int n, std::uint64_t perturb_seed = 0) {
   mpi::RuntimeParams p;
   p.nprocs = n;
   p.perturb_seed = perturb_seed;
-  p.backend = engine;
   return p;
 }
 
@@ -186,8 +183,7 @@ struct DirectOutcome {
 
 /// Direct run: the workload written straight onto the destination-class
 /// StripedFs.  Returns the per-file checksums of its store.
-DirectOutcome run_direct(Kind kind, std::uint64_t perturb,
-                         sim::SchedBackend engine) {
+DirectOutcome run_direct(Kind kind, std::uint64_t perturb) {
   net::NetworkParams np;
   pfs::StripedFsParams sp = striped_params();
   net::Network nw(np, kProcs, sp.n_io_nodes);
@@ -200,7 +196,7 @@ DirectOutcome run_direct(Kind kind, std::uint64_t perturb,
   verify::Verifier v;
   {
     verify::Attach attach(v);
-    mpi::RuntimeParams rp = rparams(kProcs, perturb, engine);
+    mpi::RuntimeParams rp = rparams(kProcs, perturb);
     rp.extra_fabric_nodes = sp.n_io_nodes;
     mpi::Runtime rt(rp);
     rt.run([&](mpi::Comm& c) {
@@ -226,7 +222,6 @@ struct StagedOutcome {
 /// Staged run: same workload through a LocalDiskFs-staged facade over the
 /// same destination-class StripedFs, draining under `policy`.
 StagedOutcome run_staged(Kind kind, DrainPolicy policy, std::uint64_t perturb,
-                         sim::SchedBackend engine,
                          fault::Injector* staging_faults = nullptr,
                          StagedFsParams params = StagedFsParams{}) {
   net::NetworkParams np;
@@ -245,7 +240,7 @@ StagedOutcome run_staged(Kind kind, DrainPolicy policy, std::uint64_t perturb,
   verify::Verifier v;
   {
     verify::Attach attach(v);
-    mpi::RuntimeParams rp = rparams(kProcs, perturb, engine);
+    mpi::RuntimeParams rp = rparams(kProcs, perturb);
     rp.extra_fabric_nodes = sp.n_io_nodes;
     mpi::Runtime rt(rp);
     rt.run([&](mpi::Comm& c) {
@@ -283,7 +278,7 @@ void expect_matches_direct(const StagedOutcome& staged,
 }
 
 // ---------------------------------------------------------------------------
-// Differential matrix: backends x schedule seeds x engine backends.
+// Differential matrix: backends x schedule seeds.
 // ---------------------------------------------------------------------------
 
 class StageDifferential : public ::testing::TestWithParam<std::uint64_t> {};
@@ -291,18 +286,11 @@ class StageDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(StageDifferential, StagedDumpsMatchDirectDumps) {
   const std::uint64_t seed = GetParam();
   for (Kind kind : kAllKinds) {
-    const DirectOutcome direct =
-        run_direct(kind, seed, sim::SchedBackend::kFibers);
-    const auto fibers =
-        run_staged(kind, DrainPolicy::kSync, seed, sim::SchedBackend::kFibers);
-    expect_matches_direct(fibers, direct,
-                          std::string(to_cstr(kind)) + "/fibers/seed" +
-                              std::to_string(seed));
-    const auto threads = run_staged(kind, DrainPolicy::kSync, seed,
-                                    sim::SchedBackend::kThreads);
-    expect_matches_direct(threads, direct,
-                          std::string(to_cstr(kind)) + "/threads/seed" +
-                              std::to_string(seed));
+    const DirectOutcome direct = run_direct(kind, seed);
+    const auto staged = run_staged(kind, DrainPolicy::kSync, seed);
+    expect_matches_direct(
+        staged, direct,
+        std::string(to_cstr(kind)) + "/seed" + std::to_string(seed));
   }
 }
 
@@ -314,17 +302,10 @@ INSTANTIATE_TEST_SUITE_P(SchedSeeds, StageDifferential,
 
 // Every drain policy converges to the same destination bytes.
 TEST(StageDifferential, AllDrainPoliciesConverge) {
-  const DirectOutcome direct =
-      run_direct(Kind::kMpiIo, 0, sim::SchedBackend::kFibers);
-  const auto sync_run =
-      run_staged(Kind::kMpiIo, DrainPolicy::kSync, 0,
-                 sim::SchedBackend::kFibers);
-  const auto async_run =
-      run_staged(Kind::kMpiIo, DrainPolicy::kAsync, 0,
-                 sim::SchedBackend::kFibers);
-  const auto lazy_run =
-      run_staged(Kind::kMpiIo, DrainPolicy::kLazy, 0,
-                 sim::SchedBackend::kFibers);
+  const DirectOutcome direct = run_direct(Kind::kMpiIo, 0);
+  const auto sync_run = run_staged(Kind::kMpiIo, DrainPolicy::kSync, 0);
+  const auto async_run = run_staged(Kind::kMpiIo, DrainPolicy::kAsync, 0);
+  const auto lazy_run = run_staged(Kind::kMpiIo, DrainPolicy::kLazy, 0);
   EXPECT_EQ(sync_run.logical, direct.all);
   EXPECT_EQ(async_run.logical, direct.all);
   EXPECT_EQ(lazy_run.logical, direct.all);
@@ -495,9 +476,7 @@ TEST(StageFaults, TransientAndOutageOnStagingTierConverge) {
   // Transient EIO + short transfers everywhere on the staging tier, plus a
   // full server outage window early in the run; the stage retry budget must
   // ride all of it out and converge to the no-fault bytes.
-  const auto clean =
-      run_staged(Kind::kMpiIo, DrainPolicy::kSync, 0,
-                 sim::SchedBackend::kFibers);
+  const auto clean = run_staged(Kind::kMpiIo, DrainPolicy::kSync, 0);
 
   fault::FaultPlan plan;
   plan.seed = 77;
@@ -522,8 +501,7 @@ TEST(StageFaults, TransientAndOutageOnStagingTierConverge) {
   StagedFsParams params;
   params.stage_retry.max_retries = 25;  // budget must outlast the outage
   const auto faulted =
-      run_staged(Kind::kMpiIo, DrainPolicy::kSync, 0,
-                 sim::SchedBackend::kFibers, &injector, params);
+      run_staged(Kind::kMpiIo, DrainPolicy::kSync, 0, &injector, params);
 
   EXPECT_GT(injector.counters().injected_total(), 0u)
       << "plan injected nothing; the run proves nothing";

@@ -20,6 +20,14 @@ deferred-raii
 obs-span
     Every public I/O entry point of mpi::io::File carries an OBS_SPAN so
     the cross-layer profiler sees it.  Extend ENTRY_POINTS when adding one.
+
+single-thread
+    The simulator runs on one OS thread: every rank is a fiber and the
+    engine serialises them, which is why the engine and the layers above it
+    take no locks.  Under src/, flag what would start or synchronise a
+    second thread (std::thread/jthread, std::mutex/shared_mutex,
+    std::condition_variable, std::atomic, pthread_create).  Suppress with
+    `lint:allow(single-thread)`.
 """
 
 import re
@@ -33,6 +41,9 @@ NONBLOCKING_CALL = re.compile(r"\.i(?:read|write)_at\s*\(")
 WAIT_CALL = re.compile(r"\bwait(?:_all)?\s*\(")
 DEFERRED_CALL = re.compile(r"\b(?:begin|end)_deferred\s*\(")
 DEFERRED_HEAP = re.compile(r"new\s+DeferredScope|make_unique\s*<\s*DeferredScope")
+THREADING = re.compile(
+    r"\bstd::(?:thread|jthread|mutex|shared_mutex|condition_variable|atomic)\b"
+    r"|\bpthread_create\b")
 
 # Files that legitimately touch the raw deferred-clock API: the engine
 # itself and the RAII wrappers built directly on it (mpi::io::DeferredScope,
@@ -111,6 +122,17 @@ def check_deferred_raii(path, lines, findings):
                 "outside the engine; use DeferredScope RAII")
 
 
+def check_single_thread(path, lines, findings):
+    if path.parts[0] != "src":
+        return
+    for i, line in enumerate(lines):
+        match = THREADING.search(strip_comment(line))
+        if match and not allowed(lines, i, "single-thread"):
+            findings.append(
+                f"{path}:{i + 1}: [single-thread] {match.group(0)}: the "
+                "simulator runs every rank as a fiber on one OS thread")
+
+
 def check_obs_span(findings):
     path = ROOT / OBS_SPAN_FILE
     lines = path.read_text().splitlines()
@@ -142,6 +164,7 @@ def main():
             lines = path.read_text().splitlines()
             check_missing_wait(rel, lines, findings)
             check_deferred_raii(rel, lines, findings)
+            check_single_thread(rel, lines, findings)
     check_obs_span(findings)
 
     for f in findings:
