@@ -7,11 +7,13 @@
 //   $ ./examples/blame_report [hdf4|mpiio|hdf5|pnetcdf] [--json out.json]
 //                             [--seed N]
 //
-// The JSON document follows the schema CI's obs-blame job validates; the
-// dump report is byte-identical from run to run, and for most backends
-// across sched seeds too (CI's obs-blame job and tests/test_obs_enzo.cpp
-// say which — restart blame is per-seed, since demand reads race the cache
-// and tied arbitration decides hits).
+// The JSON document follows the schema CI's obs-blame job validates.  Both
+// reports are byte-identical from run to run.  Across sched seeds a report
+// holds only while no two ranks' requests reach one device at the same
+// virtual instant, since the seed orders tied requests and the disk's seek
+// model charges for the order.  Restart reads race the cache, so restart
+// blame is per-seed; so is the pnetcdf dump at this configuration, whose
+// first two field windows tie (docs/OBSERVABILITY.md has the numbers).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "base/run_map.hpp"
+
 namespace paramrio::check {
 
 const char* to_string(Severity severity) {
@@ -131,50 +133,10 @@ std::string CheckReport::format() const {
 
 namespace {
 
-/// Merged half-open intervals, offset -> end.
-using Intervals = std::map<std::uint64_t, std::uint64_t>;
-
-void interval_insert(Intervals& iv, std::uint64_t lo, std::uint64_t hi) {
-  auto it = iv.upper_bound(lo);
-  if (it != iv.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= lo) {
-      lo = prev->first;
-      hi = std::max(hi, prev->second);
-      it = iv.erase(prev);
-    }
-  }
-  while (it != iv.end() && it->first <= hi) {
-    hi = std::max(hi, it->second);
-    it = iv.erase(it);
-  }
-  iv[lo] = hi;
-}
-
-/// First sub-range of [lo, hi) not covered by iv; false if fully covered.
-bool first_uncovered(const Intervals& iv, std::uint64_t lo, std::uint64_t hi,
-                     std::uint64_t* gap_lo, std::uint64_t* gap_hi) {
-  std::uint64_t pos = lo;
-  auto it = iv.upper_bound(pos);
-  if (it != iv.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second > pos) pos = prev->second;
-  }
-  if (pos >= hi) return false;
-  *gap_lo = pos;
-  *gap_hi = hi;
-  if (it != iv.end() && it->first < hi) *gap_hi = it->first;
-  return true;
-}
-
-/// Last-writer-wins ownership map for conflict detection: offset -> (end,
-/// rank).  Entries never overlap.
-using Ownership = std::map<std::uint64_t, std::pair<std::uint64_t, int>>;
-
 struct FileState {
   bool created = false;  ///< trace saw an OpenMode::kCreate for this path
-  Intervals written;     ///< union of writes since creation
-  Ownership owners;      ///< current-phase per-rank write ownership
+  RunMap<bool> written;  ///< union of writes since creation
+  RunMap<int> owners;    ///< current-phase writing rank per range
 };
 
 struct FdState {
@@ -215,7 +177,7 @@ class Analyzer {
     phase_ = name;
     // Conflicts are scoped per phase: a restart overwriting the previous
     // dump's bytes is a new generation, not a race.
-    for (auto& [path, fs] : files_) fs.owners.clear();
+    for (auto& [path, fs] : files_) fs.owners = {};
   }
 
   void emit(Kind kind, const std::string& path, std::vector<int> ranks,
@@ -259,8 +221,8 @@ class Analyzer {
       FileState& f = files_[e.path];
       f.created = true;
       // Truncation starts a new file generation.
-      f.written.clear();
-      f.owners.clear();
+      f.written = {};
+      f.owners = {};
     }
   }
 
@@ -292,14 +254,26 @@ class Analyzer {
     check_alignment(e);
     if (e.bytes == 0) return;
     FileState& f = files_[e.path];
+    const std::uint64_t end = e.offset + e.bytes;
     if (e.is_write) {
       check_conflict(f, e);
-      interval_insert(f.written, e.offset, e.offset + e.bytes);
+      f.written.assign(e.offset, end, true);
     } else if (f.created) {
-      std::uint64_t glo = 0, ghi = 0;
-      if (first_uncovered(f.written, e.offset, e.offset + e.bytes, &glo,
-                          &ghi)) {
-        emit(Kind::kReadBeforeWrite, e.path, {e.rank}, glo, ghi - glo,
+      // The first unwritten sub-range: from the end of the written prefix
+      // to the next written run, or to the end of the read.
+      std::uint64_t gap_lo = e.offset;
+      std::uint64_t gap_hi = end;
+      f.written.for_each(e.offset, end,
+                         [&](std::uint64_t lo, std::uint64_t hi, bool) {
+                           if (lo == gap_lo) {
+                             gap_lo = hi;
+                           } else if (gap_hi == end) {
+                             gap_hi = lo;
+                           }
+                         });
+      if (gap_lo < gap_hi) {
+        emit(Kind::kReadBeforeWrite, e.path, {e.rank}, gap_lo,
+             gap_hi - gap_lo,
              "read touches bytes never written since the file was created "
              "(restart would consume zero-fill)");
       }
@@ -348,48 +322,20 @@ class Analyzer {
     }
   }
 
+  /// Report every range another rank wrote this phase, one diagnostic per
+  /// maximal run of one rank; then this rank owns [lo, hi).
   void check_conflict(FileState& f, const trace::IoEvent& e) {
-    std::uint64_t lo = e.offset, hi = e.offset + e.bytes;
-    Ownership& own = f.owners;
-    // Report overlaps with ranges another rank wrote this phase, then make
-    // this rank the owner of [lo, hi) (last writer wins), preserving the
-    // non-overlapped remainders of older entries.
-    std::vector<std::pair<std::uint64_t, std::pair<std::uint64_t, int>>>
-        remainders;
-    auto it = own.upper_bound(lo);
-    if (it != own.begin()) --it;
-    while (it != own.end() && it->first < hi) {
-      std::uint64_t olo = it->first, ohi = it->second.first;
-      int orank = it->second.second;
-      if (ohi <= lo) {
-        ++it;
-        continue;
-      }
-      if (orank != e.rank) {
-        std::uint64_t clo = std::max(lo, olo), chi = std::min(hi, ohi);
-        emit(Kind::kWriteConflict, e.path, {orank, e.rank}, clo, chi - clo,
-             "ranks " + std::to_string(orank) + " and " +
-                 std::to_string(e.rank) +
-                 " both wrote this range in the same phase (unordered "
-                 "overlapping writes: final bytes depend on timing)");
-      }
-      if (olo < lo) remainders.push_back({olo, {lo, orank}});
-      if (ohi > hi) remainders.push_back({hi, {ohi, orank}});
-      it = own.erase(it);
-    }
-    for (const auto& r : remainders) own[r.first] = r.second;
-    // Merge with an adjacent/overlapping same-rank neighbour on the left so
-    // sequential writers keep a single entry.
-    auto left = own.lower_bound(lo);
-    if (left != own.begin()) {
-      auto prev = std::prev(left);
-      if (prev->second.second == e.rank && prev->second.first >= lo) {
-        lo = prev->first;
-        hi = std::max(hi, prev->second.first);
-        own.erase(prev);
-      }
-    }
-    own[lo] = {hi, e.rank};
+    const std::uint64_t lo = e.offset, hi = e.offset + e.bytes;
+    f.owners.for_each(lo, hi, [&](std::uint64_t clo, std::uint64_t chi,
+                                  int orank) {
+      if (orank == e.rank) return;
+      emit(Kind::kWriteConflict, e.path, {orank, e.rank}, clo, chi - clo,
+           "ranks " + std::to_string(orank) + " and " +
+               std::to_string(e.rank) +
+               " both wrote this range in the same phase (unordered "
+               "overlapping writes: final bytes depend on timing)");
+    });
+    f.owners.assign(lo, hi, e.rank);
   }
 
   void finish() {
@@ -407,11 +353,14 @@ class Analyzer {
     for (const auto& [path, f] : files_) {
       if (!f.created) continue;  // pre-existing contents unknown
       if (store_ != nullptr && !store_->exists(path)) continue;  // removed
-      std::uint64_t extent = 0;
-      if (!f.written.empty()) extent = std::prev(f.written.end())->second;
-      if (store_ != nullptr) extent = store_->size(path);
+      // Without the store the extent is the furthest traced write, so every
+      // gap is interior.
+      constexpr std::uint64_t kNoEnd = ~std::uint64_t{0};
+      const std::uint64_t extent =
+          store_ != nullptr ? store_->size(path) : kNoEnd;
       std::uint64_t pos = 0;
-      for (const auto& [lo, hi] : f.written) {
+      f.written.for_each(0, kNoEnd, [&](std::uint64_t lo, std::uint64_t hi,
+                                        bool) {
         if (lo > pos && pos < extent) {
           std::uint64_t ghi = std::min(lo, extent);
           // Self-describing formats leave deliberate unwritten padding
@@ -431,9 +380,9 @@ class Analyzer {
                  "(incomplete checkpoint)");
           }
         }
-        pos = std::max(pos, hi);
-      }
-      if (pos < extent) {
+        pos = hi;
+      });
+      if (store_ != nullptr && pos < extent) {
         emit(Kind::kHole, path, {}, pos, extent - pos,
              "file extends past the furthest traced write "
              "(truncated/short dump)");
@@ -460,55 +409,8 @@ CheckReport analyze_trace(std::span<const trace::IoEvent> events,
 
 IoChecker::IoChecker(CheckOptions options) : options_(std::move(options)) {}
 
-void IoChecker::begin_phase(const std::string& name) {
-  phases_.push_back(PhaseMark{events_.size(), name});
-}
-
-void IoChecker::on_io(double time, int rank, bool is_write,
-                      const std::string& path, std::uint64_t offset,
-                      std::uint64_t bytes, int fd) {
-  trace::IoEvent e;
-  e.time = time;
-  e.rank = rank;
-  e.is_write = is_write;
-  e.op = is_write ? trace::IoOp::kWrite : trace::IoOp::kRead;
-  e.path = path;
-  e.offset = offset;
-  e.bytes = bytes;
-  e.fd = fd;
-  events_.push_back(std::move(e));
-}
-
-void IoChecker::on_open(double time, int rank, const std::string& path,
-                        pfs::OpenMode mode, int fd) {
-  trace::IoEvent e;
-  e.time = time;
-  e.rank = rank;
-  e.op = trace::IoOp::kOpen;
-  e.path = path;
-  e.fd = fd;
-  e.mode = mode;
-  events_.push_back(std::move(e));
-}
-
-void IoChecker::on_close(double time, int rank, const std::string& path,
-                         int fd) {
-  trace::IoEvent e;
-  e.time = time;
-  e.rank = rank;
-  e.op = trace::IoOp::kClose;
-  e.path = path;
-  e.fd = fd;
-  events_.push_back(std::move(e));
-}
-
 CheckReport IoChecker::analyze(const stor::ObjectStore* store) const {
-  return analyze_trace(events_, options_, store, phases_);
-}
-
-void IoChecker::clear() {
-  events_.clear();
-  phases_.clear();
+  return analyze_trace(events(), options_, store, phases());
 }
 
 }  // namespace paramrio::check

@@ -109,13 +109,8 @@ struct CheckReport {
   std::string format() const;
 };
 
-/// A named phase boundary: events at index >= first_event belong to `name`
-/// until the next mark.  Write-conflict detection is scoped per phase (two
-/// dumps to the same path must not accuse each other).
-struct PhaseMark {
-  std::size_t first_event = 0;
-  std::string name;
-};
+/// Phase marks are recorded by the tracer the checker derives from.
+using trace::PhaseMark;
 
 /// Analyze a raw event stream.  `store`, when given, supplies final file
 /// extents so hole detection covers short (truncated) files; without it the
@@ -127,36 +122,23 @@ CheckReport analyze_trace(std::span<const trace::IoEvent> events,
                           const stor::ObjectStore* store = nullptr,
                           std::span<const PhaseMark> phases = {});
 
-/// Observer that accumulates a trace (data + lifecycle events) with phase
-/// marks and runs the analyzer over it.  Attach with
+/// A tracer that also audits what it recorded: attach with
 /// fs.attach_observer(&checker); call begin_phase() around dump / restart
-/// sections; then analyze(&fs.store()).
-class IoChecker final : public pfs::IoObserver {
+/// sections; then analyze(&fs.store()).  The tracer's format_report() and
+/// export_counters() describe the same log, so one observer gives both the
+/// performance report and the audit.
+class IoChecker final : public trace::IoTracer {
  public:
   explicit IoChecker(CheckOptions options = {});
 
-  /// Start a named phase; subsequent events belong to it.
-  void begin_phase(const std::string& name);
-
-  void on_io(double time, int rank, bool is_write, const std::string& path,
-             std::uint64_t offset, std::uint64_t bytes, int fd) override;
-  void on_open(double time, int rank, const std::string& path,
-               pfs::OpenMode mode, int fd) override;
-  void on_close(double time, int rank, const std::string& path,
-                int fd) override;
-
-  const std::vector<trace::IoEvent>& events() const { return events_; }
-  const std::vector<PhaseMark>& phases() const { return phases_; }
   CheckOptions& options() { return options_; }
 
+  /// The audit.  (It hides the tracer's analyze(), which format_report()
+  /// and export_counters() still use.)
   CheckReport analyze(const stor::ObjectStore* store = nullptr) const;
-
-  void clear();
 
  private:
   CheckOptions options_;
-  std::vector<trace::IoEvent> events_;
-  std::vector<PhaseMark> phases_;
 };
 
 }  // namespace paramrio::check

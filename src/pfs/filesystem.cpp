@@ -104,29 +104,8 @@ std::uint64_t FileSystem::read_attempt(OpenFile& f, int fd,
   OBS_SPAN("pfs.read", sim::TimeCategory::kIo);
   sim::Proc& proc = sim::current_proc();
   const double op_start = proc.now();
-  std::uint64_t transfer = out.size();
-  if (fault_hook_ != nullptr) {
-    const fault::IoFaultAction a =
-        fault_hook_->on_io(proc.global_rank(), proc.now(), /*is_write=*/false,
-                           f.path, offset, out.size(),
-                           server_of(f.path, offset));
-    switch (a.kind) {
-      case fault::IoFaultAction::Kind::kPass:
-        break;
-      case fault::IoFaultAction::Kind::kShort:
-        transfer = std::min<std::uint64_t>(a.transfer, out.size());
-        break;
-      case fault::IoFaultAction::Kind::kStall:
-        proc.advance(a.stall_seconds, sim::TimeCategory::kIo);
-        break;
-      case fault::IoFaultAction::Kind::kTransientError:
-        throw TransientIoError("injected EIO: read_at(" + f.path + ", " +
-                               std::to_string(offset) + ") on " + name());
-      case fault::IoFaultAction::Kind::kCrash:
-        throw CrashError("injected crash: read_at(" + f.path + ") on " +
-                         name());
-    }
-  }
+  const std::uint64_t transfer =
+      admitted_bytes(proc, f.path, /*is_write=*/false, offset, out.size());
   obs::span_counter("bytes", transfer);
   store_.read_at(f.path, offset, out.first(transfer));
   proc.stats().io_bytes_read += transfer;
@@ -137,9 +116,9 @@ std::uint64_t FileSystem::read_attempt(OpenFile& f, int fd,
                      f.path, offset, transfer, fd);
   }
   if (cache_enabled_ && transfer > 0) {
-    Intervals& iv = cache_of(f);
+    RunMap<bool>& resident = cache_of(f);
     cache_lookups_ += 1;
-    const bool hit = cache_covers(iv, offset, transfer);
+    const bool hit = resident.covers(offset, offset + transfer, true);
     if (hit) cache_hit_lookups_ += 1;
     if (obs::detail()) {
       obs::gauge("fs:" + name() + "/cache_hit_rate",
@@ -155,7 +134,7 @@ std::uint64_t FileSystem::read_attempt(OpenFile& f, int fd,
       obs::latency_sample("pfs.read", proc.now() - op_start);
       return transfer;
     }
-    cache_insert(iv, offset, transfer);
+    resident.assign(offset, offset + transfer, true);
   }
   charge(proc, f.path, offset, transfer, /*is_write=*/false);
   obs::latency_sample("pfs.read", proc.now() - op_start);
@@ -194,29 +173,8 @@ std::uint64_t FileSystem::write_attempt(OpenFile& f, int fd,
   OBS_SPAN("pfs.write", sim::TimeCategory::kIo);
   sim::Proc& proc = sim::current_proc();
   const double op_start = proc.now();
-  std::uint64_t transfer = data.size();
-  if (fault_hook_ != nullptr) {
-    const fault::IoFaultAction a =
-        fault_hook_->on_io(proc.global_rank(), proc.now(), /*is_write=*/true,
-                           f.path, offset, data.size(),
-                           server_of(f.path, offset));
-    switch (a.kind) {
-      case fault::IoFaultAction::Kind::kPass:
-        break;
-      case fault::IoFaultAction::Kind::kShort:
-        transfer = std::min<std::uint64_t>(a.transfer, data.size());
-        break;
-      case fault::IoFaultAction::Kind::kStall:
-        proc.advance(a.stall_seconds, sim::TimeCategory::kIo);
-        break;
-      case fault::IoFaultAction::Kind::kTransientError:
-        throw TransientIoError("injected EIO: write_at(" + f.path + ", " +
-                               std::to_string(offset) + ") on " + name());
-      case fault::IoFaultAction::Kind::kCrash:
-        throw CrashError("injected crash: write_at(" + f.path + ") on " +
-                         name());
-    }
-  }
+  const std::uint64_t transfer =
+      admitted_bytes(proc, f.path, /*is_write=*/true, offset, data.size());
   obs::span_counter("bytes", transfer);
   store_.write_at(f.path, offset, data.first(transfer));
   proc.stats().io_bytes_written += transfer;
@@ -227,7 +185,7 @@ std::uint64_t FileSystem::write_attempt(OpenFile& f, int fd,
                      f.path, offset, transfer, fd);
   }
   if (cache_enabled_ && transfer > 0) {
-    cache_insert(cache_of(f), offset, transfer);
+    cache_of(f).assign(offset, offset + transfer, true);
   }
   charge(proc, f.path, offset, transfer, /*is_write=*/true);
   obs::latency_sample("pfs.write", proc.now() - op_start);
@@ -243,32 +201,30 @@ int FileSystem::server_of(const std::string& path,
       static_cast<std::uint64_t>(l.n_servers));
 }
 
-bool FileSystem::cache_covers(const Intervals& iv, std::uint64_t off,
-                              std::uint64_t len) const {
-  auto it = iv.upper_bound(off);
-  if (it == iv.begin()) return false;
-  --it;
-  return it->second >= off + len;
-}
-
-void FileSystem::cache_insert(Intervals& iv, std::uint64_t off,
-                              std::uint64_t len) {
-  std::uint64_t lo = off, hi = off + len;
-  // Merge with any overlapping/adjacent intervals.
-  auto it = iv.upper_bound(lo);
-  if (it != iv.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= lo) {
-      lo = prev->first;
-      hi = std::max(hi, prev->second);
-      it = iv.erase(prev);
-    }
+std::uint64_t FileSystem::admitted_bytes(sim::Proc& proc,
+                                         const std::string& path,
+                                         bool is_write, std::uint64_t offset,
+                                         std::uint64_t bytes) {
+  if (fault_hook_ == nullptr) return bytes;
+  const fault::IoFaultAction a =
+      fault_hook_->on_io(proc.global_rank(), proc.now(), is_write, path,
+                         offset, bytes, server_of(path, offset));
+  const std::string op = is_write ? "write_at(" : "read_at(";
+  switch (a.kind) {
+    case fault::IoFaultAction::Kind::kPass:
+      break;
+    case fault::IoFaultAction::Kind::kShort:
+      return std::min<std::uint64_t>(a.transfer, bytes);
+    case fault::IoFaultAction::Kind::kStall:
+      proc.advance(a.stall_seconds, sim::TimeCategory::kIo);
+      break;
+    case fault::IoFaultAction::Kind::kTransientError:
+      throw TransientIoError("injected EIO: " + op + path + ", " +
+                             std::to_string(offset) + ") on " + name());
+    case fault::IoFaultAction::Kind::kCrash:
+      throw CrashError("injected crash: " + op + path + ") on " + name());
   }
-  while (it != iv.end() && it->first <= hi) {
-    hi = std::max(hi, it->second);
-    it = iv.erase(it);
-  }
-  iv[lo] = hi;
+  return bytes;
 }
 
 void FileSystem::account_job(const sim::Proc& proc, bool is_write,
@@ -319,7 +275,7 @@ FileSystem::OpenFile& FileSystem::descriptor_mut(int fd, const char* op) {
   return it->second;
 }
 
-FileSystem::Intervals& FileSystem::cache_of(OpenFile& f) {
+RunMap<bool>& FileSystem::cache_of(OpenFile& f) {
   if (f.cache_iv == nullptr || f.cache_gen != cache_gen_) {
     f.cache_iv = &cache_[f.path];
     f.cache_gen = cache_gen_;

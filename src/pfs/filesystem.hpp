@@ -14,6 +14,7 @@
 #include <span>
 #include <string>
 
+#include "base/run_map.hpp"
 #include "fault/retry.hpp"
 #include "sim/engine.hpp"
 #include "stor/object_store.hpp"
@@ -92,7 +93,7 @@ class FileSystem {
   /// at the same path cannot see stale cache hits.
   void remove(const std::string& path) {
     cache_.erase(path);
-    ++cache_gen_;  // open descriptors re-resolve their interval-map pointer
+    ++cache_gen_;  // open descriptors re-resolve their run-map pointer
     on_remove(path);
     store_.remove(path);
   }
@@ -213,24 +214,21 @@ class FileSystem {
   }
 
  private:
-  /// Merged resident intervals per file (offset -> end).
-  using Intervals = std::map<std::uint64_t, std::uint64_t>;
-
   struct OpenFile {
     std::string path;
     bool writable = false;
-    /// Buffer-cache interval map resolved once per descriptor instead of a
+    /// Buffer-cache run map resolved once per descriptor instead of a
     /// string-keyed map lookup on every attempt (the per-op hot path at
     /// AMR256 scale).  Re-resolved lazily whenever `cache_gen` falls behind
     /// the file system's generation counter — remove(), kCreate truncation
     /// and drop_caches() all bump it, which also covers the pointer's
     /// stability (std::map nodes only move on erase).
-    Intervals* cache_iv = nullptr;
+    RunMap<bool>* cache_iv = nullptr;
     std::uint64_t cache_gen = 0;
   };
   const OpenFile& descriptor(int fd, const char* op) const;
   OpenFile& descriptor_mut(int fd, const char* op);
-  Intervals& cache_of(OpenFile& f);
+  RunMap<bool>& cache_of(OpenFile& f);
 
   /// One timed attempt at (part of) a data operation: consults the fault
   /// hook, moves up to the requested bytes, and accounts exactly the bytes
@@ -240,10 +238,11 @@ class FileSystem {
                              std::span<std::byte> out);
   std::uint64_t write_attempt(OpenFile& f, int fd, std::uint64_t offset,
                               std::span<const std::byte> data);
-
-  bool cache_covers(const Intervals& iv, std::uint64_t off,
-                    std::uint64_t len) const;
-  void cache_insert(Intervals& iv, std::uint64_t off, std::uint64_t len);
+  /// The fault hook's verdict on one attempt: the bytes it lets move (after
+  /// any injected stall), or a thrown TransientIoError / CrashError.
+  std::uint64_t admitted_bytes(sim::Proc& proc, const std::string& path,
+                               bool is_write, std::uint64_t offset,
+                               std::uint64_t bytes);
 
   /// Per-tenant traffic, keyed by engine job index; recorded only to feed
   /// multi-job exports (single-job registries must stay byte-identical, so
@@ -268,7 +267,7 @@ class FileSystem {
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_lookups_ = 0;      ///< read-side cache consults
   std::uint64_t cache_hit_lookups_ = 0;  ///< consults fully served from cache
-  std::map<std::string, Intervals> cache_;
+  std::map<std::string, RunMap<bool>> cache_;  ///< resident ranges per file
   std::uint64_t cache_gen_ = 1;  ///< bumped on remove/truncate/drop_caches
   std::map<int, JobIo> job_io_;
 };

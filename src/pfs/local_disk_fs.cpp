@@ -1,7 +1,5 @@
 #include "pfs/local_disk_fs.hpp"
 
-#include <algorithm>
-
 #include "obs/profiler.hpp"
 
 namespace paramrio::pfs {
@@ -21,19 +19,21 @@ void LocalDiskFs::charge(sim::Proc& proc, const std::string& path,
   // tenancy each simulated node (and its spindle) belongs to exactly one
   // rank of one job; job-local rank ids would alias the rank 0s together.
   const int client = proc.global_rank();
-  Ownership& own = owners_[path];
-  auto& my_cache = page_cache_[static_cast<std::size_t>(client)][path];
+  RunMap<int>& owners = owners_[path];
+  RunMap<bool>& my_cache = page_cache_[static_cast<std::size_t>(client)][path];
+  const std::uint64_t end = offset + bytes;
   if (is_write) {
-    record_write(own, offset, bytes, client);
-  } else if (!wholly_owned_by(own, offset, bytes, client)) {
+    owners.assign(offset, end, client);
+  } else if (bytes > 0 && !owners.covers(offset, end, client)) {
+    // (An empty read touches no bytes, so none of them can be remote.)
     remote_reads_ += 1;
-  } else if (covered(my_cache, offset, bytes)) {
+  } else if (my_cache.covers(offset, end, true)) {
     // This node already has the pages: served from its own page cache.
     proc.advance(static_cast<double>(bytes) / params_.cache_bandwidth,
                  sim::TimeCategory::kIo);
     return;
   }
-  insert_range(my_cache, offset, bytes);
+  my_cache.assign(offset, end, true);
   proc.advance(params_.client_overhead, sim::TimeCategory::kIo);
   auto& d = disks_[static_cast<std::size_t>(client)];
   const bool detail = obs::detail();
@@ -55,95 +55,6 @@ void LocalDiskFs::charge(sim::Proc& proc, const std::string& path,
 void LocalDiskFs::forget_path(const std::string& path) {
   owners_.erase(path);
   for (auto& per_rank : page_cache_) per_rank.erase(path);
-}
-
-bool LocalDiskFs::covered(const Ranges& iv, std::uint64_t off,
-                          std::uint64_t len) {
-  auto it = iv.upper_bound(off);
-  if (it == iv.begin()) return false;
-  --it;
-  return it->second >= off + len;
-}
-
-void LocalDiskFs::insert_range(Ranges& iv, std::uint64_t off,
-                               std::uint64_t len) {
-  std::uint64_t lo = off, hi = off + len;
-  auto it = iv.upper_bound(lo);
-  if (it != iv.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= lo) {
-      lo = prev->first;
-      hi = std::max(hi, prev->second);
-      it = iv.erase(prev);
-    }
-  }
-  while (it != iv.end() && it->first <= hi) {
-    hi = std::max(hi, it->second);
-    it = iv.erase(it);
-  }
-  iv[lo] = hi;
-}
-
-bool LocalDiskFs::wholly_owned_by(const Ownership& own, std::uint64_t offset,
-                                  std::uint64_t bytes, int rank) const {
-  std::uint64_t pos = offset;
-  std::uint64_t end = offset + bytes;
-  while (pos < end) {
-    // Find the range containing pos: last range with start <= pos.
-    auto it = own.ranges.upper_bound(pos);
-    if (it == own.ranges.begin()) return false;
-    --it;
-    auto [range_end, owner] = it->second;
-    if (pos >= range_end || owner != rank) return false;
-    pos = range_end;
-  }
-  return true;
-}
-
-void LocalDiskFs::record_write(Ownership& own, std::uint64_t offset,
-                               std::uint64_t bytes, int rank) {
-  if (bytes == 0) return;
-  std::uint64_t end = offset + bytes;
-  // Trim or split any ranges overlapping [offset, end).
-  auto it = own.ranges.upper_bound(offset);
-  if (it != own.ranges.begin()) {
-    auto prev = std::prev(it);
-    auto [prev_end, prev_owner] = prev->second;
-    if (prev_end > offset) {
-      // prev overlaps: keep its head, and if it extends past `end`, its tail.
-      prev->second.first = offset;
-      if (prev_end > end) {
-        own.ranges[end] = {prev_end, prev_owner};
-      }
-    }
-  }
-  it = own.ranges.lower_bound(offset);
-  while (it != own.ranges.end() && it->first < end) {
-    auto [range_end, owner] = it->second;
-    if (range_end > end) {
-      own.ranges[end] = {range_end, owner};
-    }
-    it = own.ranges.erase(it);
-  }
-  // Insert, coalescing with same-owner neighbours: without this a
-  // sequential writer leaves one node per request and wholly_owned_by
-  // degrades to a per-fragment walk — the other quadratic the ROADMAP
-  // raw-speed note flags.
-  auto ins = own.ranges.insert_or_assign(offset, std::make_pair(end, rank))
-                 .first;
-  auto next = std::next(ins);
-  if (next != own.ranges.end() && next->first == ins->second.first &&
-      next->second.second == rank) {
-    ins->second.first = next->second.first;
-    own.ranges.erase(next);
-  }
-  if (ins != own.ranges.begin()) {
-    auto prev = std::prev(ins);
-    if (prev->second.first == ins->first && prev->second.second == rank) {
-      prev->second.first = ins->second.first;
-      own.ranges.erase(ins);
-    }
-  }
 }
 
 }  // namespace paramrio::pfs

@@ -16,6 +16,7 @@
 #include <map>
 #include <vector>
 
+#include "base/run_map.hpp"
 #include "pfs/filesystem.hpp"
 #include "stor/disk.hpp"
 
@@ -67,24 +68,12 @@ class LocalDiskFs final : public FileSystem {
   void on_truncate(const std::string& path) override { forget_path(path); }
 
  private:
-  using Ranges = std::map<std::uint64_t, std::uint64_t>;  // off -> end
-  static bool covered(const Ranges& iv, std::uint64_t off, std::uint64_t len);
-  static void insert_range(Ranges& iv, std::uint64_t off, std::uint64_t len);
-
-  /// Interval map per file recording which rank wrote each byte range.
-  struct Ownership {
-    std::map<std::uint64_t, std::pair<std::uint64_t, int>> ranges;  // off -> (end, rank)
-  };
-  bool wholly_owned_by(const Ownership& own, std::uint64_t offset,
-                       std::uint64_t bytes, int rank) const;
-  void record_write(Ownership& own, std::uint64_t offset, std::uint64_t bytes,
-                    int rank);
   void forget_path(const std::string& path);
 
   LocalDiskFsParams params_;
   std::vector<stor::IoServer> disks_;
-  std::map<std::string, Ownership> owners_;
-  std::vector<std::map<std::string, Ranges>> page_cache_;  ///< per rank
+  std::map<std::string, RunMap<int>> owners_;  ///< per file: writing rank
+  std::vector<std::map<std::string, RunMap<bool>>> page_cache_;  ///< per rank
   std::uint64_t remote_reads_ = 0;
 };
 

@@ -62,65 +62,6 @@ void StripedFs::export_counters(obs::MetricsRegistry& reg) const {
   }
 }
 
-bool StripedFs::runs_conflict(const TokenRuns& runs, std::uint64_t lo,
-                              std::uint64_t hi, int owner) {
-  auto it = runs.upper_bound(lo);
-  if (it != runs.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second.first > lo && prev->second.second != owner) return true;
-  }
-  for (; it != runs.end() && it->first < hi; ++it) {
-    if (it->second.second != owner) return true;
-  }
-  return false;
-}
-
-void StripedFs::runs_assign(TokenRuns& runs, std::uint64_t lo,
-                            std::uint64_t hi, int owner) {
-  if (lo >= hi) return;
-  // Split any run overlapping the left edge.
-  auto it = runs.upper_bound(lo);
-  if (it != runs.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second.first > lo) {
-      const std::uint64_t prev_end = prev->second.first;
-      const int prev_owner = prev->second.second;
-      if (prev->first < lo) {
-        prev->second.first = lo;
-      } else {
-        runs.erase(prev);
-      }
-      if (prev_end > hi) runs[hi] = {prev_end, prev_owner};
-    }
-  }
-  // Drop runs starting inside [lo, hi), keeping any tail past hi.
-  it = runs.lower_bound(lo);
-  while (it != runs.end() && it->first < hi) {
-    if (it->second.first > hi) {
-      const auto tail = it->second;
-      it = runs.erase(it);
-      runs[hi] = tail;
-      break;
-    }
-    it = runs.erase(it);
-  }
-  // Insert the new run, coalescing with same-owner neighbours.
-  std::uint64_t nlo = lo, nhi = hi;
-  auto right = runs.find(hi);
-  if (right != runs.end() && right->second.second == owner) {
-    nhi = right->second.first;
-    runs.erase(right);
-  }
-  auto ins = runs.emplace(nlo, std::make_pair(nhi, owner)).first;
-  if (ins != runs.begin()) {
-    auto left = std::prev(ins);
-    if (left->second.first == nlo && left->second.second == owner) {
-      left->second.first = nhi;
-      runs.erase(ins);
-    }
-  }
-}
-
 void StripedFs::charge(sim::Proc& proc, const std::string& path,
                        std::uint64_t offset, std::uint64_t bytes,
                        bool is_write) {
@@ -142,19 +83,23 @@ void StripedFs::charge(sim::Proc& proc, const std::string& path,
   // the false sharing behind the paper's Figure 7.
   double req_start = proc.now();
   if (is_write && params_.write_lock_cost > 0.0 && bytes > 0) {
-    TokenRuns& owners = token_owner_[path];
+    RunMap<int>& owners = token_owner_[path];
     const std::uint64_t ss = params_.stripe_size;
     const std::uint64_t s_lo = offset / ss;
     const std::uint64_t s_hi = (offset + bytes + ss - 1) / ss;
     const double token_wait_start = proc.now();
-    if (runs_conflict(owners, s_lo, s_hi, client)) {
+    bool conflict = false;
+    owners.for_each(s_lo, s_hi, [&](std::uint64_t, std::uint64_t, int owner) {
+      conflict = conflict || owner != client;
+    });
+    if (conflict) {
       req_start = token_manager_.acquire(req_start, params_.write_lock_cost,
                                          background);
       ++token_transfers_;
       obs::record_wait(obs::WaitKind::kTokenWait, token_wait_start,
                        req_start);
     }
-    runs_assign(owners, s_lo, s_hi, client);
+    owners.assign(s_lo, s_hi, client);
   }
 
   const bool detail = obs::detail();

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "base/run_map.hpp"
 #include "net/network.hpp"
 #include "pfs/filesystem.hpp"
 #include "pfs/striping.hpp"
@@ -92,24 +93,17 @@ class StripedFs final : public FileSystem {
               std::uint64_t bytes, bool is_write) override;
 
  private:
-  /// Merged same-owner runs of stripe indices: start stripe -> (end stripe
-  /// exclusive, owner).  The per-stripe map this replaces cost O(stripes
-  /// touched) per write and grew one node per stripe ever written — the
-  /// quadratic wall at AMR256 scale; runs make a streaming writer O(log n)
-  /// per request with one node per contiguous region.
-  using TokenRuns = std::map<std::uint64_t, std::pair<std::uint64_t, int>>;
-  static bool runs_conflict(const TokenRuns& runs, std::uint64_t lo,
-                            std::uint64_t hi, int owner);
-  static void runs_assign(TokenRuns& runs, std::uint64_t lo, std::uint64_t hi,
-                          int owner);
-
   StripedFsParams params_;
   net::Network& network_;
   std::vector<stor::IoServer> servers_;
   std::vector<sim::Timeline> smp_channels_;  ///< one per compute node
   /// Write-token ownership at stripe granularity (GPFS hands out byte-range
-  /// tokens rounded to block boundaries): path -> merged owner runs.
-  std::map<std::string, TokenRuns> token_owner_;
+  /// tokens rounded to block boundaries): path -> owner per stripe index.
+  /// Runs, not one entry per stripe: a per-stripe map cost O(stripes
+  /// touched) per write and grew one node per stripe ever written — the
+  /// quadratic wall at AMR256 scale; runs make a streaming writer O(log n)
+  /// per request with one node per contiguous region.
+  std::map<std::string, RunMap<int>> token_owner_;
   std::uint64_t token_transfers_ = 0;
   sim::Timeline token_manager_;  ///< serialises all token transfers
 };

@@ -104,8 +104,6 @@ std::uint64_t Engine::Options::effective_perturb_seed() const {
 
 void set_run_observer(RunObserver* obs) { g_run_observer = obs; }
 
-RunObserver* run_observer() { return g_run_observer; }
-
 Proc& current_proc() {
   PARAMRIO_REQUIRE(t_current_proc != nullptr,
                    "not inside a simulated processor");

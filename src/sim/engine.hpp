@@ -247,7 +247,6 @@ class RunObserver {
 /// Install `obs` as the process-wide run observer (nullptr detaches).  Call
 /// outside Engine::run.
 void set_run_observer(RunObserver* obs);
-RunObserver* run_observer();
 
 /// The engine itself.  Construct, then call run() with the per-rank body.
 class Engine {

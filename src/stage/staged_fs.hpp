@@ -180,7 +180,9 @@ class StagedFs final : public pfs::FileSystem {
   };
 
   /// One staged run of a logical file: maps [start, end) of the file to
-  /// payload bytes at `seg_off` of segment `seg`.
+  /// payload bytes at `seg_off` of segment `seg`.  Not a RunMap: splitting
+  /// an extent shifts its `seg_off`, and remove_range filters by writer and
+  /// releases live bytes, which a generic map would take as callbacks.
   struct Extent {
     std::uint64_t end = 0;
     int writer = -1;

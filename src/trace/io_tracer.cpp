@@ -46,7 +46,14 @@ void IoTracer::record_close(double time, int rank, const std::string& path,
   events_.push_back(std::move(e));
 }
 
-void IoTracer::clear() { events_.clear(); }
+void IoTracer::begin_phase(const std::string& name) {
+  phases_.push_back(PhaseMark{events_.size(), name});
+}
+
+void IoTracer::clear() {
+  events_.clear();
+  phases_.clear();
+}
 
 namespace {
 std::size_t size_bucket(std::uint64_t bytes) {

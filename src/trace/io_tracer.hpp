@@ -75,7 +75,17 @@ struct TraceReport {
   std::map<std::string, std::uint64_t> per_file_bytes;
 };
 
-class IoTracer final : public pfs::IoObserver {
+/// A named phase boundary: events at index >= first_event belong to `name`
+/// until the next mark (check::IoChecker scopes write conflicts per phase, so
+/// two dumps to the same path do not accuse each other).
+struct PhaseMark {
+  std::size_t first_event = 0;
+  std::string name;
+};
+
+/// Records every request and descriptor event of the file system it is
+/// attached to; check::IoChecker audits the same log.
+class IoTracer : public pfs::IoObserver {
  public:
   /// Record one data request (fd optional for hand-built traces).
   void record(double time, int rank, bool is_write, const std::string& path,
@@ -99,8 +109,14 @@ class IoTracer final : public pfs::IoObserver {
     record_close(time, rank, path, fd);
   }
 
+  /// Start a named phase; subsequent events belong to it.  Call from one
+  /// rank before a barrier so the boundary is unambiguous.
+  void begin_phase(const std::string& name);
+
+  /// Drop the recorded events and phase marks.
   void clear();
   const std::vector<IoEvent>& events() const { return events_; }
+  const std::vector<PhaseMark>& phases() const { return phases_; }
 
   TraceReport analyze() const;
 
@@ -113,6 +129,7 @@ class IoTracer final : public pfs::IoObserver {
 
  private:
   std::vector<IoEvent> events_;
+  std::vector<PhaseMark> phases_;
 };
 
 }  // namespace paramrio::trace

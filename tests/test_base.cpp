@@ -1,12 +1,15 @@
-// Unit tests for base utilities: errors, RNG determinism, byte encode/decode.
+// Unit tests for base utilities: errors, RNG determinism, byte encode/decode,
+// the byte-range run map.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "base/byte_io.hpp"
 #include "base/error.hpp"
 #include "base/rng.hpp"
+#include "base/run_map.hpp"
 #include "base/units.hpp"
 
 namespace paramrio {
@@ -166,6 +169,115 @@ TEST(ByteIo, BytesView) {
   auto got = r.bytes(32);
   for (std::size_t i = 0; i < payload.size(); ++i)
     EXPECT_EQ(got[i], payload[i]);
+}
+
+struct Piece {
+  std::uint64_t lo, hi;
+  int value;
+  bool operator==(const Piece&) const = default;
+};
+
+std::vector<Piece> runs_of(const RunMap<int>& m, std::uint64_t lo,
+                         std::uint64_t hi) {
+  std::vector<Piece> out;
+  m.for_each(lo, hi, [&](std::uint64_t a, std::uint64_t b, int v) {
+    out.push_back({a, b, v});
+  });
+  return out;
+}
+
+TEST(RunMap, LastWriterWinsAndEqualNeighboursCoalesce) {
+  RunMap<int> m;
+  m.assign(10, 20, 1);
+  m.assign(0, 10, 1);
+  m.assign(7, 7, 2);  // empty: no-op
+  EXPECT_EQ(runs_of(m, 0, 100), (std::vector<Piece>{{0, 20, 1}}));
+  m.assign(5, 15, 2);
+  EXPECT_EQ(runs_of(m, 0, 100),
+            (std::vector<Piece>{{0, 5, 1}, {5, 15, 2}, {15, 20, 1}}));
+  EXPECT_EQ(runs_of(m, 3, 17),
+            (std::vector<Piece>{{3, 5, 1}, {5, 15, 2}, {15, 17, 1}}));
+  EXPECT_TRUE(m.covers(5, 15, 2));
+  EXPECT_FALSE(m.covers(4, 15, 2));
+  EXPECT_FALSE(m.covers(5, 15, 1));
+  EXPECT_FALSE(m.covers(18, 21, 1));
+  m.assign(5, 15, 1);
+  EXPECT_EQ(runs_of(m, 0, 100), (std::vector<Piece>{{0, 20, 1}}));
+}
+
+TEST(RunMap, EmptyRangeIsCoveredInsideOrAtTheEndOfARun) {
+  RunMap<bool> m;
+  m.assign(10, 20, true);
+  EXPECT_FALSE(m.covers(9, 9, true));
+  EXPECT_TRUE(m.covers(10, 10, true));
+  EXPECT_TRUE(m.covers(20, 20, true));
+  EXPECT_FALSE(m.covers(21, 21, true));
+  int visits = 0;
+  m.for_each(15, 15, [&](std::uint64_t, std::uint64_t, bool) { ++visits; });
+  EXPECT_EQ(visits, 0);
+}
+
+// Random assigns, empty ones included, against one value per cell: after
+// every assign the runs rebuild the cells exactly, stay canonical (never
+// empty, never overlapping, never touching with equal values), clip to any
+// queried range, and covers() is "every cell in the range holds v".
+TEST(RunMap, MatchesAPerCellReferenceModel) {
+  Rng rng(20);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::uint64_t n = 8 + rng.next_below(56);
+    std::vector<int> cells(n, -1);  // -1: never assigned
+    RunMap<int> m;
+    for (int op = 0; op < 40; ++op) {
+      const std::uint64_t lo = rng.next_below(n + 1);
+      const std::uint64_t hi = lo + rng.next_below(n + 1 - lo);
+      const int v = static_cast<int>(rng.next_below(3));
+      m.assign(lo, hi, v);
+      std::fill(cells.begin() + static_cast<std::ptrdiff_t>(lo),
+                cells.begin() + static_cast<std::ptrdiff_t>(hi), v);
+      const std::string where =
+          "trial " + std::to_string(trial) + " op " + std::to_string(op);
+
+      std::vector<int> rebuilt(n, -1);
+      const std::vector<Piece> runs = runs_of(m, 0, n);
+      for (std::size_t i = 0; i < runs.size(); ++i) {
+        ASSERT_LT(runs[i].lo, runs[i].hi) << where;
+        if (i > 0) {
+          ASSERT_GE(runs[i].lo, runs[i - 1].hi) << where;
+          if (runs[i].lo == runs[i - 1].hi) {
+            ASSERT_NE(runs[i].value, runs[i - 1].value) << where;
+          }
+        }
+        for (std::uint64_t c = runs[i].lo; c < runs[i].hi; ++c) {
+          rebuilt[c] = runs[i].value;
+        }
+      }
+      ASSERT_EQ(rebuilt, cells) << where;
+
+      const std::uint64_t a = rng.next_below(n);
+      const std::uint64_t b = a + 1 + rng.next_below(n - a);
+      std::vector<int> window(b - a, -1);
+      for (const Piece& r : runs_of(m, a, b)) {
+        ASSERT_LE(a, r.lo) << where;
+        ASSERT_LE(r.hi, b) << where;
+        for (std::uint64_t c = r.lo; c < r.hi; ++c) window[c - a] = r.value;
+      }
+      ASSERT_TRUE(std::equal(window.begin(), window.end(),
+                             cells.begin() + static_cast<std::ptrdiff_t>(a)))
+          << where;
+
+      for (int q = 0; q < 8; ++q) {
+        const std::uint64_t qa = rng.next_below(n);
+        const std::uint64_t qb = qa + 1 + rng.next_below(n - qa);
+        const int qv = static_cast<int>(rng.next_below(3));
+        const bool all =
+            std::all_of(cells.begin() + static_cast<std::ptrdiff_t>(qa),
+                        cells.begin() + static_cast<std::ptrdiff_t>(qb),
+                        [&](int c) { return c == qv; });
+        ASSERT_EQ(m.covers(qa, qb, qv), all)
+            << where << " covers [" << qa << ", " << qb << ") = " << qv;
+      }
+    }
+  }
 }
 
 }  // namespace

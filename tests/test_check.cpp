@@ -9,6 +9,7 @@
 #include "enzo/backends.hpp"
 #include "enzo/simulation.hpp"
 #include "mpi/io/file.hpp"
+#include "obs/registry.hpp"
 #include "pfs/local_fs.hpp"
 #include "pfs/striped_fs.hpp"
 #include "sim/engine.hpp"
@@ -238,6 +239,21 @@ TEST(IoChecker, DetectsWriteThroughReadOnlyDescriptor) {
   EXPECT_EQ(r.count(Kind::kWriteReadOnly), 1u) << r.format();
 }
 
+TEST(IoChecker, ConflictDiagnosticsFollowMaximalRunsOfOneRank) {
+  // Rank 1's two writes leave one run [0, 20) in the owner map, so rank 2's
+  // overlap is one diagnostic, not one per earlier request.
+  trace::IoTracer t;
+  t.record(0.0, 1, true, "f", 10, 10);
+  t.record(0.1, 1, true, "f", 0, 10);
+  t.record(0.2, 2, true, "f", 5, 10);
+  CheckReport r = check::analyze_trace(t.events(), CheckOptions{});
+  EXPECT_EQ(r.count(Kind::kWriteConflict), 1u) << r.format();
+  ASSERT_EQ(r.diagnostics.size(), 1u);
+  EXPECT_EQ(r.diagnostics[0].offset, 5u);
+  EXPECT_EQ(r.diagnostics[0].length, 10u);
+  EXPECT_EQ(r.diagnostics[0].ranks, (std::vector<int>{1, 2}));
+}
+
 TEST(IoChecker, AlignmentLintsCountStripeViolations) {
   CheckOptions o;
   o.stripe_size = 4096;
@@ -351,6 +367,49 @@ TEST_P(BackendAudit, DumpAndRestartAreCleanUnderChecker) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendAudit,
                          ::testing::Values(Kind4::kHdf4, Kind4::kMpiIo,
                                            Kind4::kHdf5, Kind4::kPnetcdf));
+
+// MPI-IO dump + restart with `observer` attached to a fresh file system;
+// returns the store so a checker can audit the final extents.
+std::unique_ptr<pfs::LocalFs> mpiio_round_trip(trace::IoTracer& observer) {
+  auto fs = std::make_unique<pfs::LocalFs>(pfs::LocalFsParams{});
+  fs->attach_observer(&observer);
+  mpi::RuntimeParams rp;
+  rp.nprocs = 4;
+  mpi::Runtime rt(rp);
+  rt.run([&](mpi::Comm& c) {
+    enzo::MpiIoBackend backend(*fs);
+    enzo::EnzoSimulation sim(c, audit_config());
+    sim.initialize_from_universe();
+    if (c.rank() == 0) observer.begin_phase("dump");
+    c.barrier();
+    backend.write_dump(c, sim.state(), "one");
+    c.barrier();
+    if (c.rank() == 0) observer.begin_phase("restart");
+    c.barrier();
+    enzo::EnzoSimulation sim2(c, audit_config());
+    backend.read_restart(c, sim2.state(), "one");
+  });
+  return fs;
+}
+
+TEST(IoChecker, OneAttachedCheckerGivesTheTraceReportAndTheAudit) {
+  IoChecker checker;
+  const auto checked_fs = mpiio_round_trip(checker);
+  trace::IoTracer tracer;
+  mpiio_round_trip(tracer);
+
+  EXPECT_EQ(checker.format_report("mpiio"), tracer.format_report("mpiio"));
+  obs::MetricsRegistry from_checker, from_tracer;
+  checker.export_counters(from_checker);
+  tracer.export_counters(from_tracer);
+  EXPECT_EQ(from_checker.to_json(2), from_tracer.to_json(2));
+  EXPECT_GT(tracer.analyze().writes.requests, 0u);
+  EXPECT_GT(tracer.analyze().reads.requests, 0u);
+
+  const CheckReport r = checker.analyze(&checked_fs->store());
+  EXPECT_TRUE(r.clean()) << r.format();
+  EXPECT_EQ(r.events_analyzed, checker.events().size());
+}
 
 // ---------------------------------------------------------------------------
 // Negative tests: injected corruption must be caught

@@ -389,6 +389,30 @@ TEST(LocalDiskFs, CreateTruncationDropsOwnershipAndPageCache) {
   EXPECT_EQ(fs.remote_reads(), 1u);
 }
 
+// An empty request leaves nothing resident in the page cache, so a second
+// empty read at the same offset pays the client and request overheads again
+// (no seek: the head is already there).  Empty reads never count as remote.
+TEST(LocalDiskFs, EmptyReadIsNeverServedFromThePageCache) {
+  pfs::LocalDiskFs fs(pfs::LocalDiskFsParams{}, 1);
+  int fd = fs.open("f", OpenMode::kCreate);  // outside the sim: untimed
+  fs.write_at(fd, 0, pattern(8192));
+  std::vector<double> cost;
+  Engine::run(opts(1), [&](Proc& proc) {
+    for (int i = 0; i < 2; ++i) {
+      const double start = proc.now();
+      fs.read_at(fd, 4096, std::span<std::byte>());
+      cost.push_back(proc.now() - start);
+    }
+  });
+  const pfs::LocalDiskFsParams p;
+  ASSERT_EQ(cost.size(), 2u);
+  EXPECT_NEAR(cost[0], p.client_overhead + p.disk.seek_time +
+                           p.disk.request_overhead,
+              1e-12);
+  EXPECT_NEAR(cost[1], p.client_overhead + p.disk.request_overhead, 1e-12);
+  EXPECT_EQ(fs.remote_reads(), 0u);
+}
+
 TEST(LocalDiskFs, OwnershipSplitsOnOverwrite) {
   pfs::LocalDiskFs fs(pfs::LocalDiskFsParams{}, 2);
   int fd = fs.open("f", OpenMode::kCreate);  // outside the sim: untimed

@@ -381,7 +381,7 @@ void expect_same_payload(const RunOutcome& a, const RunOutcome& b,
 
 class QueryDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(QueryDifferential, AllBackendsAllEnginesMatchTheOracle) {
+TEST_P(QueryDifferential, AllBackendsAllSeedsMatchTheOracle) {
   const std::uint64_t seed = GetParam();
   for (Kind kind : kAllKinds) {
     RunConfig cfg;

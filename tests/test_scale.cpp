@@ -145,10 +145,8 @@ class SchedulerDifferential
 // Schedule independence: at each seed a run reproduces exactly, and its
 // files and integer counters equal the seed-0 run's, for every I/O backend.
 // Finish times stay out of the cross-seed check: reordering tied events
-// legitimately moves them under the HDF5 and PnetCDF backends.  (The name is
-// historical — this test once diffed a thread-per-rank scheduler against the
-// fibers — and is kept so the test's ID stays stable.)
-TEST_P(SchedulerDifferential, FiberAndThreadBackendsAreByteIdentical) {
+// legitimately moves them under the HDF5 and PnetCDF backends.
+TEST_P(SchedulerDifferential, RerunsAreIdenticalAndFilesAreSeedInvariant) {
   const std::uint64_t perturb = GetParam();
   for (Backend kind : kAllBackends) {
     const std::string label =
