@@ -340,39 +340,32 @@ T from_bytes(const Bytes& b) {
 }
 }  // namespace
 
-std::uint64_t Comm::allreduce_sum(std::uint64_t v) {
-  CollCtxGuard ctx(coll_ctx_, "allreduce:u64:sum");
-  Bytes r = reduce_exchange(to_bytes(v), [](const Bytes& a, const Bytes& b) {
-    return to_bytes(from_bytes<std::uint64_t>(a) +
-                    from_bytes<std::uint64_t>(b));
+template <typename T, typename Op>
+T Comm::allreduce_scalar(const char* signature, T v, Op op) {
+  CollCtxGuard ctx(coll_ctx_, signature);
+  Bytes r = reduce_exchange(to_bytes(v), [op](const Bytes& a, const Bytes& b) {
+    return to_bytes<T>(op(from_bytes<T>(a), from_bytes<T>(b)));
   });
-  return from_bytes<std::uint64_t>(r);
+  return from_bytes<T>(r);
+}
+
+std::uint64_t Comm::allreduce_sum(std::uint64_t v) {
+  return allreduce_scalar("allreduce:u64:sum", v, std::plus<>());
 }
 
 std::uint64_t Comm::allreduce_max(std::uint64_t v) {
-  CollCtxGuard ctx(coll_ctx_, "allreduce:u64:max");
-  Bytes r = reduce_exchange(to_bytes(v), [](const Bytes& a, const Bytes& b) {
-    return to_bytes(std::max(from_bytes<std::uint64_t>(a),
-                             from_bytes<std::uint64_t>(b)));
-  });
-  return from_bytes<std::uint64_t>(r);
+  return allreduce_scalar("allreduce:u64:max", v,
+                          [](auto a, auto b) { return std::max(a, b); });
 }
 
 std::uint64_t Comm::allreduce_min(std::uint64_t v) {
-  CollCtxGuard ctx(coll_ctx_, "allreduce:u64:min");
-  Bytes r = reduce_exchange(to_bytes(v), [](const Bytes& a, const Bytes& b) {
-    return to_bytes(std::min(from_bytes<std::uint64_t>(a),
-                             from_bytes<std::uint64_t>(b)));
-  });
-  return from_bytes<std::uint64_t>(r);
+  return allreduce_scalar("allreduce:u64:min", v,
+                          [](auto a, auto b) { return std::min(a, b); });
 }
 
 double Comm::allreduce_max(double v) {
-  CollCtxGuard ctx(coll_ctx_, "allreduce:f64:max");
-  Bytes r = reduce_exchange(to_bytes(v), [](const Bytes& a, const Bytes& b) {
-    return to_bytes(std::max(from_bytes<double>(a), from_bytes<double>(b)));
-  });
-  return from_bytes<double>(r);
+  return allreduce_scalar("allreduce:f64:max", v,
+                          [](auto a, auto b) { return std::max(a, b); });
 }
 
 std::vector<std::uint64_t> Comm::allreduce_sum(std::vector<std::uint64_t> v) {

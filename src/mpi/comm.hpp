@@ -200,6 +200,10 @@ class Comm {
   Bytes reduce_exchange(
       const Bytes& mine,
       const std::function<Bytes(const Bytes&, const Bytes&)>& combine);
+  /// The scalar allreduce_* lowering: combine every rank's `v` with `op`
+  /// under the verifier's collective signature `signature`.
+  template <typename T, typename Op>
+  T allreduce_scalar(const char* signature, T v, Op op);
 
   /// Render a collective op name for the verifier, stitching in the active
   /// reduction signature ("gatherv[allreduce:u64:sum]") so reductions that

@@ -19,10 +19,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/retry.hpp"
@@ -69,13 +71,14 @@ struct Hints {
   /// fault layer reports an I/O-server outage.
   fault::RetryPolicy retry;
 
-  /// Overlap communication and file I/O.  When set, two-phase collective
-  /// windows are double-buffered and pipelined (the alltoall exchange for
-  /// window i+1 runs while the aggregator's write of window i is in
-  /// flight), the nonblocking iread_at/iwrite_at and the split-collective
-  /// begin/end calls genuinely defer their I/O, and prefetch() issues
-  /// read-ahead.  Default-off: every one of those paths is byte- and
-  /// virtual-time-identical to the synchronous implementation.
+  /// Overlap communication and file I/O.  When set, each aggregator's
+  /// two-phase window I/O runs in flight, one window at a time (the
+  /// exchange for window i+1 runs while the aggregator's write of window i
+  /// is in flight; reads run one window ahead), the nonblocking iwrite_at
+  /// and the split-collective begin/end calls genuinely defer their I/O,
+  /// and prefetch() issues read-ahead.  Default-off: every one of those
+  /// paths is byte- and virtual-time-identical to the synchronous
+  /// implementation.
   bool overlap = false;
 };
 
@@ -149,7 +152,7 @@ struct FileStats {
 /// a File's stats persist into ("file:<path>|<hints_key>").
 std::string hints_key(const Hints& hints);
 
-/// Handle to one nonblocking independent operation (iread_at/iwrite_at).
+/// Handle to one nonblocking independent write (iwrite_at).
 /// Data moves at issue time — the simulation stays content-deterministic —
 /// and the handle carries the operation's virtual completion time; wait()
 /// charges the issuer exactly the stall that other work did not hide.
@@ -194,13 +197,12 @@ class File {
 
   // ---- nonblocking independent I/O -------------------------------------
   //
-  // With Hints::overlap set the operation's file-system time runs in
-  // flight (deferred on the engine's shadow clock) and the returned Request
+  // With Hints::overlap set the write's file-system time runs in flight
+  // (deferred on the engine's shadow clock) and the returned Request
   // completes at its virtual finish time; without it the call completes
   // synchronously and wait() is a no-op.  As in MPI, the buffer must not be
-  // reused (writes) or read (reads) until the request is waited on.
+  // reused until the request is waited on.
 
-  Request iread_at(std::uint64_t offset, std::span<std::byte> buf);
   Request iwrite_at(std::uint64_t offset, std::span<const std::byte> buf);
 
   /// Complete a request: charges this rank the remaining in-flight time (if
@@ -299,6 +301,13 @@ class File {
   /// charge the rest as kIo stall.
   void settle_deferred(double issued, double completion);
 
+  /// Run `io` in flight: on the shadow clock, inside a kIo span named
+  /// `span`, reported to the verifier as a deferred issue.  Every in-flight
+  /// op goes through here.  Returns the issue and completion times, which
+  /// the caller settles later.
+  std::pair<double, double> in_flight(const char* span,
+                                      const std::function<void()>& io);
+
   /// Wait any collective window I/O left in flight by a pipelined
   /// two_phase (no-op otherwise).
   void drain_collective();
@@ -354,8 +363,8 @@ class File {
   };
   std::vector<PrefetchEntry> prefetched_;
 
-  /// Completion horizon of the pipelined two-phase window(s) still in
-  /// flight (< 0: none); split-collective state.
+  /// Completion horizon of the pipelined two-phase window still in flight
+  /// (< 0: none); split-collective state.
   double collective_pending_issue_ = 0.0;
   double collective_pending_completion_ = -1.0;
   bool split_active_ = false;

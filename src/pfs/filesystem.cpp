@@ -50,6 +50,28 @@ std::uint64_t FileSystem::size(int fd) const {
   return store_.size(descriptor(fd, "size").path);
 }
 
+template <class Attempt>
+std::uint64_t FileSystem::with_retry(std::uint64_t len, Attempt attempt) {
+  std::uint64_t done = 0;
+  int tries = 0;
+  for (;;) {
+    try {
+      done += attempt(done);
+    } catch (const TransientIoError&) {
+      if (tries >= retry_.max_retries) throw;
+      fault::charge_backoff(retry_, tries, sim::current_proc());
+      ++tries;
+      fs_retries_ += 1;
+      continue;
+    }
+    if (done >= len) return done;
+    // Short transfer: without fs-level retry the caller sees the prefix
+    // length; with it the remainder is resumed (progress was made, so no
+    // retry budget is consumed).
+    if (!retry_.enabled()) return done;
+  }
+}
+
 std::uint64_t FileSystem::read_at(int fd, std::uint64_t offset,
                                   std::span<std::byte> out) {
   OpenFile& f = descriptor_mut(fd, "read_at");
@@ -64,24 +86,9 @@ std::uint64_t FileSystem::read_at(int fd, std::uint64_t offset,
     store_.read_at(f.path, offset, out);
     return out.size();
   }
-  std::uint64_t done = 0;
-  int attempt = 0;
-  for (;;) {
-    try {
-      done += read_attempt(f, fd, offset + done, out.subspan(done));
-    } catch (const TransientIoError&) {
-      if (attempt >= retry_.max_retries) throw;
-      fault::charge_backoff(retry_, attempt, sim::current_proc());
-      ++attempt;
-      fs_retries_ += 1;
-      continue;
-    }
-    if (done >= out.size()) return done;
-    // Short transfer: without fs-level retry the caller sees the prefix
-    // length; with it the remainder is resumed (progress was made, so no
-    // retry budget is consumed).
-    if (!retry_.enabled()) return done;
-  }
+  return with_retry(out.size(), [&](std::uint64_t done) {
+    return read_attempt(f, fd, offset + done, out.subspan(done));
+  });
 }
 
 void FileSystem::read_exact(int fd, std::uint64_t offset,
@@ -150,21 +157,9 @@ std::uint64_t FileSystem::write_at(int fd, std::uint64_t offset,
     on_untimed_write(f.path, offset, data);
     return data.size();
   }
-  std::uint64_t done = 0;
-  int attempt = 0;
-  for (;;) {
-    try {
-      done += write_attempt(f, fd, offset + done, data.subspan(done));
-    } catch (const TransientIoError&) {
-      if (attempt >= retry_.max_retries) throw;
-      fault::charge_backoff(retry_, attempt, sim::current_proc());
-      ++attempt;
-      fs_retries_ += 1;
-      continue;
-    }
-    if (done >= data.size()) return done;
-    if (!retry_.enabled()) return done;
-  }
+  return with_retry(data.size(), [&](std::uint64_t done) {
+    return write_attempt(f, fd, offset + done, data.subspan(done));
+  });
 }
 
 std::uint64_t FileSystem::write_attempt(OpenFile& f, int fd,

@@ -238,6 +238,11 @@ class FileSystem {
                              std::span<std::byte> out);
   std::uint64_t write_attempt(OpenFile& f, int fd, std::uint64_t offset,
                               std::span<const std::byte> data);
+  /// The retry loop read_at and write_at share: calls `attempt(done)`, which
+  /// moves bytes from `done` on and returns how many, until `len` bytes have
+  /// moved.  A TransientIoError backs off and retries while budget remains.
+  template <class Attempt>
+  std::uint64_t with_retry(std::uint64_t len, Attempt attempt);
   /// The fault hook's verdict on one attempt: the bytes it lets move (after
   /// any injected stall), or a thrown TransientIoError / CrashError.
   std::uint64_t admitted_bytes(sim::Proc& proc, const std::string& path,

@@ -43,18 +43,6 @@ void SharedCache::evict_for(std::uint64_t incoming_bytes) {
   }
 }
 
-void SharedCache::invalidate_path(const std::string& path) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->first.path == path) {
-      current_bytes_ -= it->second.data->size();
-      lru_.erase(it->second.lru_it);
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 void SharedCache::clear() {
   entries_.clear();
   lru_.clear();

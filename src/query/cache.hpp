@@ -62,10 +62,6 @@ class SharedCache {
   /// still cached alone.
   void insert(const Key& key, BlockData data, double ready_time);
 
-  /// Drop every block of `path` (namespace events; not used on the normal
-  /// read path — committed generations are immutable).
-  void invalidate_path(const std::string& path);
-
   void clear();
 
   std::uint64_t hits() const { return hits_; }

@@ -60,13 +60,6 @@ const FieldExtent& GenerationIndex::field(std::uint64_t grid_id,
   return fit->second;
 }
 
-bool GenerationIndex::has_field(std::uint64_t grid_id,
-                                const std::string& name) const {
-  auto git = fields.find(grid_id);
-  return git != fields.end() &&
-         git->second.find(name) != git->second.end();
-}
-
 std::vector<std::byte> GenerationIndex::serialize() const {
   ByteWriter w;
   w.u32(kIndexMagic);

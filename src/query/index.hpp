@@ -59,7 +59,6 @@ struct GenerationIndex : enzo::DumpLayout {
 
   const FieldExtent& field(std::uint64_t grid_id,
                            const std::string& name) const;
-  bool has_field(std::uint64_t grid_id, const std::string& name) const;
 
   std::vector<std::byte> serialize() const;
   static GenerationIndex deserialize(std::span<const std::byte> data);

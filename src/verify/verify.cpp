@@ -466,7 +466,7 @@ void Verifier::on_file_close(const std::string& path, int rank,
     record(Rule::kMissingWait, object, {rank}, -1,
            std::to_string(leaked_requests) +
                " nonblocking request(s) never waited before close (the file "
-               "settled them; wait() every iread_at/iwrite_at request)");
+               "settled them; wait() every iwrite_at request)");
   }
   if (split_active) {
     record(Rule::kUnpairedSplit, object, {rank}, -1,

@@ -5,8 +5,8 @@ layer's house rules (run by CI next to clang-tidy; see docs/VERIFY.md).
 Rules
 -----
 missing-wait
-    A scope that issues a nonblocking `.iread_at(...)`/`.iwrite_at(...)`
-    must lexically contain a `wait(`/`wait_all(` before the scope closes.
+    A scope that issues a nonblocking `.iwrite_at(...)` must lexically
+    contain a `wait(`/`wait_all(` before the scope closes.
     The runtime verifier (src/verify/) catches the dynamic leak; this pass
     catches it at review time.  Suppress an intentional plant with
     `lint:allow(missing-wait)` on or directly above the call line.
@@ -18,8 +18,11 @@ deferred-raii
     Suppress with `lint:allow(deferred-raii)`.
 
 obs-span
-    Every public I/O entry point of mpi::io::File carries an OBS_SPAN so
-    the cross-layer profiler sees it.  Extend ENTRY_POINTS when adding one.
+    Every public I/O entry point of mpi::io::File carries an OBS_SPAN in its
+    own body so the cross-layer profiler sees it; a call to the in-flight
+    helper File::in_flight counts, since it always opens the op's span (and
+    the helper's own body is checked for it).  Extend ENTRY_POINTS when
+    adding one.
 
 single-thread
     The simulator runs on one OS thread: every rank is a fiber and the
@@ -37,7 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 SCAN_DIRS = ["src", "tests", "examples", "bench"]
 
-NONBLOCKING_CALL = re.compile(r"\.i(?:read|write)_at\s*\(")
+NONBLOCKING_CALL = re.compile(r"\.iwrite_at\s*\(")
 WAIT_CALL = re.compile(r"\bwait(?:_all)?\s*\(")
 DEFERRED_CALL = re.compile(r"\b(?:begin|end)_deferred\s*\(")
 DEFERRED_HEAP = re.compile(r"new\s+DeferredScope|make_unique\s*<\s*DeferredScope")
@@ -55,13 +58,16 @@ DEFERRED_ALLOWED = {
     Path("src/stage/staged_fs.cpp"),
 }
 
-# Public I/O entry points of mpi::io::File that must open an OBS_SPAN.
+# Public I/O entry points of mpi::io::File that must open an OBS_SPAN, and
+# the in-flight helper that opens one for its callers.
 OBS_SPAN_FILE = Path("src/mpi/io/file.cpp")
 ENTRY_POINTS = [
     "close", "flush", "read_at", "write_at", "read_at_all", "write_at_all",
-    "iread_at", "iwrite_at", "read_at_all_begin", "read_at_all_end",
+    "iwrite_at", "read_at_all_begin", "read_at_all_end",
     "write_at_all_begin", "write_at_all_end", "prefetch",
 ]
+IN_FLIGHT_HELPER = "in_flight"
+IN_FLIGHT_CALL = re.compile(r"\b" + IN_FLIGHT_HELPER + r"\s*\(")
 
 
 def strip_comment(line: str) -> str:
@@ -87,6 +93,21 @@ def scope_end(lines, start):
             elif ch == "}":
                 depth -= 1
                 if depth < 0:
+                    return i + 1
+    return len(lines)
+
+
+def body_end(lines, start):
+    """Index one past the body of the function defined at `start`: from the
+    first `{` on or after that line, walk until its brace closes."""
+    depth = 0
+    for i in range(start, len(lines)):
+        for ch in strip_comment(lines[i]):
+            if ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth == 0:
                     return i + 1
     return len(lines)
 
@@ -136,17 +157,22 @@ def check_single_thread(path, lines, findings):
 def check_obs_span(findings):
     path = ROOT / OBS_SPAN_FILE
     lines = path.read_text().splitlines()
-    for name in ENTRY_POINTS:
+    for name in ENTRY_POINTS + [IN_FLIGHT_HELPER]:
         sig = re.compile(r"File::" + re.escape(name) + r"\s*\(")
         for i, line in enumerate(lines):
             code = strip_comment(line)
             # A definition opens a scope; call sites end in ';'.
             if sig.search(code) and not code.rstrip().endswith(";"):
-                body = "\n".join(lines[i:scope_end(lines, i)])
-                if "OBS_SPAN" not in body:
+                body = "\n".join(
+                    strip_comment(l) for l in lines[i:body_end(lines, i)])
+                spanned = "OBS_SPAN" in body or (
+                    name != IN_FLIGHT_HELPER and IN_FLIGHT_CALL.search(body))
+                if not spanned:
+                    what = ("in-flight helper" if name == IN_FLIGHT_HELPER
+                            else "public I/O entry point")
                     findings.append(
-                        f"{OBS_SPAN_FILE}:{i + 1}: [obs-span] public I/O "
-                        f"entry point File::{name} has no OBS_SPAN")
+                        f"{OBS_SPAN_FILE}:{i + 1}: [obs-span] {what} "
+                        f"File::{name} has no OBS_SPAN")
                 break
         else:
             findings.append(
