@@ -29,6 +29,7 @@
 
 #if defined(PARAMRIO_ASAN)
 #include <pthread.h>
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(PARAMRIO_TSAN)
@@ -46,6 +47,63 @@
 namespace __cxxabiv1 {
 extern "C" void* __cxa_get_globals() noexcept;
 }
+
+// The fiber switch.  On x86-64, paramrio_fiber_switch(save_sp, load_sp)
+// pushes what the System V ABI makes callee-saved (rbx, rbp, r12-r15, MXCSR
+// and the x87 control word), stores rsp through save_sp and pops the same
+// frame off load_sp, with no system call.  glibc's swapcontext also restores
+// the signal mask, an rt_sigprocmask call per switch, and nothing in this
+// program changes one; it still runs on other architectures and under a
+// CET shadow stack (asm_switch).  A new fiber's first switch returns into
+// paramrio_fiber_start, which calls the entry in r12 and is the outermost
+// frame, so debuggers and unwinders stop there.
+#if defined(__x86_64__) && defined(__LP64__) && defined(__ELF__)
+#define PARAMRIO_FIBER_ASM 1
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl paramrio_fiber_switch
+  .hidden paramrio_fiber_switch
+  .type paramrio_fiber_switch, @function
+paramrio_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size paramrio_fiber_switch, .-paramrio_fiber_switch
+
+  .globl paramrio_fiber_start
+  .hidden paramrio_fiber_start
+  .type paramrio_fiber_start, @function
+paramrio_fiber_start:
+  .cfi_startproc
+  .cfi_undefined rip
+  call *%r12
+  ud2
+  .cfi_endproc
+  .size paramrio_fiber_start, .-paramrio_fiber_start
+  .popsection
+)");
+extern "C" void paramrio_fiber_switch(void** save_sp, void* load_sp);
+extern "C" void paramrio_fiber_start();
+#endif
 
 namespace paramrio::sim {
 
@@ -80,6 +138,20 @@ void account(ProcStats& s, TimeCategory cat, double dt) {
 constexpr std::size_t kFiberStackBytes = 4 * 1024 * 1024;
 #else
 constexpr std::size_t kFiberStackBytes = 1024 * 1024;
+#endif
+
+#if defined(PARAMRIO_FIBER_ASM)
+/// False when glibc runs this process with a CET shadow stack (it may, as
+/// -fcf-protection marks objects compatible): a `ret` onto another fiber's
+/// stack would fault.  rdsspq leaves a zeroed register at 0 without one.
+bool asm_switch() {
+  static const bool usable = [] {
+    std::uint64_t ssp = 0;
+    asm volatile("rdsspq %0" : "+r"(ssp));
+    return ssp == 0;
+  }();
+  return usable;
+}
 #endif
 }  // namespace
 
@@ -180,7 +252,8 @@ void Proc::block() {
 // ---------------------------------------------------------------------------
 
 struct Engine::Fiber {
-  ucontext_t ctx{};
+  void* sp = nullptr;         ///< saved stack pointer (assembly switch)
+  ucontext_t ctx{};           ///< saved context (swapcontext fallback)
   void* map_base = nullptr;   ///< mmap base (guard page), nullptr: OS stack
   std::size_t map_len = 0;
   void* stack_lo = nullptr;   ///< usable stack (above the guard page)
@@ -191,7 +264,35 @@ struct Engine::Fiber {
 #if defined(PARAMRIO_TSAN)
   void* tsan_fiber = nullptr;  ///< TSan's context for this stack
 #endif
+
+  void prepare();  ///< make the first switch here enter Engine::fiber_entry
 };
+
+void Engine::Fiber::prepare() {
+#if defined(PARAMRIO_FIBER_ASM)
+  if (asm_switch()) {
+    // The frame paramrio_fiber_switch pops, on the zero-filled new mapping,
+    // top down: two words that keep the entry's call 16-byte aligned, the
+    // return address, rbp, rbx, r12 (the entry), r13-r15, and this
+    // context's MXCSR and x87 control word, as getcontext would take them.
+    auto* frame = reinterpret_cast<std::uint64_t*>(
+                      static_cast<char*>(stack_lo) + stack_len) - 10;
+    std::uint32_t mxcsr = 0;
+    std::uint16_t fpcw = 0;
+    asm("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(fpcw));
+    frame[0] = mxcsr | std::uint64_t{fpcw} << 32;
+    frame[4] = reinterpret_cast<std::uintptr_t>(&Engine::fiber_entry);
+    frame[7] = reinterpret_cast<std::uintptr_t>(&paramrio_fiber_start);
+    sp = frame;
+    return;
+  }
+#endif
+  PARAMRIO_REQUIRE(::getcontext(&ctx) == 0, "getcontext failed");
+  ctx.uc_stack.ss_sp = stack_lo;
+  ctx.uc_stack.ss_size = stack_len;
+  ctx.uc_link = nullptr;  // fibers exit via fiber_main's last switch
+  ::makecontext(&ctx, &Engine::fiber_entry, 0);
+}
 
 // ---------------------------------------------------------------------------
 // Run setup / teardown
@@ -271,7 +372,9 @@ std::vector<Engine::JobResult> Engine::execute(const Options& options,
   states_.assign(static_cast<std::size_t>(total), State::kRunnable);
   // Seed the ready queue with every suspended runnable proc.  Global proc 0
   // is dispatched first without a scheduling pick, so it starts out claimed.
-  for (int g = 1; g < total; ++g) ready_insert(g);
+  ready_.reserve(static_cast<std::size_t>(total));
+  ties_.reserve(static_cast<std::size_t>(total));
+  for (int g = 1; g < total; ++g) ready_push(g);
 
   // Support nesting (an Engine::run inside a proc body): the inner run owns
   // t_current_proc while it executes and must hand it back.
@@ -352,7 +455,6 @@ void Engine::run_fibers() {
 #endif
 
   fibers_.reserve(procs_.size());
-  const std::uintptr_t self = reinterpret_cast<std::uintptr_t>(this);
   for (int g = 0; g < total_procs(); ++g) {
     auto f = std::make_unique<Fiber>();
     // Lazily-committed stack with a PROT_NONE guard page at the low end, so
@@ -368,16 +470,7 @@ void Engine::run_fibers() {
     f->map_len = map_len;
     f->stack_lo = static_cast<char*>(base) + pagesz;
     f->stack_len = stack_len;
-    PARAMRIO_REQUIRE(::getcontext(&f->ctx) == 0, "getcontext failed");
-    f->ctx.uc_stack.ss_sp = f->stack_lo;
-    f->ctx.uc_stack.ss_size = f->stack_len;
-    f->ctx.uc_link = nullptr;  // fibers exit via fiber_main's last switch
-    // Two-step cast: makecontext takes void(*)() while the trampoline has
-    // real parameters; going via void* sidesteps -Wcast-function-type.
-    void (*entry)() = reinterpret_cast<void (*)()>(
-        reinterpret_cast<void*>(&Engine::fiber_trampoline));
-    ::makecontext(&f->ctx, entry, 3, static_cast<unsigned>(self >> 32),
-                  static_cast<unsigned>(self & 0xffffffffu), g);
+    f->prepare();
 #if defined(PARAMRIO_TSAN)
     f->tsan_fiber = __tsan_create_fiber(0);
 #endif
@@ -415,14 +508,13 @@ void Engine::run_fibers() {
   sched_fiber_.reset();
 }
 
-void Engine::fiber_trampoline(unsigned hi, unsigned lo, int global) {
+void Engine::fiber_entry() {
 #if defined(PARAMRIO_ASAN)
   // First entry onto this fiber's stack: complete the switch ASan saw start.
   __sanitizer_finish_switch_fiber(nullptr, nullptr, nullptr);
 #endif
-  const std::uintptr_t ptr =
-      (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo);
-  reinterpret_cast<Engine*>(ptr)->fiber_main(global);
+  Proc& proc = *t_current_proc;
+  proc.engine_->fiber_main(proc.global_);
 }
 
 void Engine::fiber_main(int global) {
@@ -457,14 +549,25 @@ void Engine::switch_to(int from, int next, bool from_dying) {
       next < 0 ? nullptr : &procs_[static_cast<std::size_t>(next)];
   swap_eh_globals(from_f.eh, to_f.eh);
 #if defined(PARAMRIO_ASAN)
+  // A dying fiber never returns through its frames: clear their redzones,
+  // so that a stack later mapped at these addresses starts unpoisoned.  No
+  // instrumented frame may open on this stack after this call.
+  if (from_dying) __asan_handle_no_return();
   __sanitizer_start_switch_fiber(from_dying ? nullptr : &from_f.asan_fake_stack,
                                  to_f.stack_lo, to_f.stack_len);
 #endif
 #if defined(PARAMRIO_TSAN)
   __tsan_switch_to_fiber(to_f.tsan_fiber, 0);
 #endif
-  PARAMRIO_REQUIRE(::swapcontext(&from_f.ctx, &to_f.ctx) == 0,
-                   "swapcontext failed");
+#if defined(PARAMRIO_FIBER_ASM)
+  if (asm_switch()) {
+    paramrio_fiber_switch(&from_f.sp, to_f.sp);
+  } else
+#endif
+  {
+    PARAMRIO_REQUIRE(::swapcontext(&from_f.ctx, &to_f.ctx) == 0,
+                     "swapcontext failed");
+  }
 #if defined(PARAMRIO_ASAN)
   __sanitizer_finish_switch_fiber(from_f.asan_fake_stack, nullptr, nullptr);
 #endif
@@ -482,12 +585,22 @@ void Engine::yield_from(int global) {
   // virtual time of a dying run is meaningless, but terminate() is not.
   const bool unwinding = std::uncaught_exceptions() > 0;
   if (!aborted_) {
-    if (states_[static_cast<std::size_t>(global)] == State::kRunnable) {
-      ready_insert(global);
+    const bool runnable =
+        states_[static_cast<std::size_t>(global)] == State::kRunnable;
+    // A runnable proc that still sorts first keeps running with no queue
+    // operation.  Under perturbation only a strictly earlier clock does, so
+    // a tie still goes through the draw.
+    const std::pair<double, int> key{
+        procs_[static_cast<std::size_t>(global)].now(), global};
+    const bool first =
+        ready_.empty() || (perturb_ ? key.first < ready_.front().first
+                                    : key < ready_.front());
+    if (!runnable || !first) {
+      if (runnable) ready_push(global);
+      // pick_claim aborts the run itself when it finds a deadlock.
+      const int next = pick_claim();
+      if (next != global && !aborted_) switch_to(global, next, false);
     }
-    // pick_claim aborts the run itself when it finds a deadlock.
-    const int next = pick_claim();
-    if (next != global && !aborted_) switch_to(global, next, false);
   }
   // Still the minimum, or resumed: either the schedule reached our clock
   // again, or the run was aborted and the drain loop (one fiber at a time,
@@ -495,52 +608,44 @@ void Engine::yield_from(int global) {
   if (aborted_ && !unwinding) throw Aborted{};
 }
 
-void Engine::ready_insert(int global) {
-  ready_.emplace(procs_[static_cast<std::size_t>(global)].now(), global);
+void Engine::ready_push(int global) {
+  ready_.emplace_back(procs_[static_cast<std::size_t>(global)].now(), global);
+  std::push_heap(ready_.begin(), ready_.end(), std::greater<>());
 }
 
-int Engine::pick_next() {
-  // The queue holds every runnable proc (the yielding proc re-inserted
-  // itself before this call), ordered by (clock, global index) — so begin()
-  // is exactly the proc the old linear scan found: lowest clock, ties to the
-  // lowest index.
-  if (ready_.empty()) return -1;
-  const auto best = ready_.begin();
-  if (!perturb_) return best->second;
-  // Schedule perturbation: break the tie by a seeded draw instead of lowest
-  // index.  Any tie order is a legal serialisation of the same virtual-time
-  // schedule, so correct programs are insensitive to the choice.  The tie
-  // group is the equal-clock prefix of the queue, enumerated in index order
-  // — the same candidates, in the same order, as the scan this replaced, so
-  // the RNG stream consumes identically and perturbed runs stay
-  // byte-for-byte reproducible across engine versions.
-  const double best_clock = best->first;
-  int ties = 0;
-  auto end = best;
-  while (end != ready_.end() && end->first == best_clock) {
-    ++ties;
-    ++end;
-  }
-  if (ties <= 1) return best->second;
-  std::uint64_t pick = perturb_rng_.next_u64() % static_cast<std::uint64_t>(ties);
-  auto it = best;
-  std::advance(it, static_cast<std::ptrdiff_t>(pick));
-  return it->second;
+int Engine::ready_pop() {
+  std::pop_heap(ready_.begin(), ready_.end(), std::greater<>());
+  const int global = ready_.back().second;
+  ready_.pop_back();
+  return global;
 }
 
 int Engine::pick_claim() {
-  int next = pick_or_deadlock();
-  if (next >= 0) {
-    // Claimed: the proc is about to run and its clock will move, so it must
-    // leave the queue (suspended entries rely on frozen clocks).
-    ready_.erase({procs_[static_cast<std::size_t>(next)].now(), next});
+  // The heap holds every runnable proc but the running one (which pushed
+  // itself first unless it blocked), and its top is exactly the proc the
+  // old linear scan found: lowest clock, ties to the lowest index.  The
+  // picked proc leaves the heap: it is about to run and its clock to move.
+  if (!ready_.empty()) {
+    if (!perturb_) return ready_pop();
+    // Schedule perturbation: break the tie by a seeded draw instead of
+    // lowest index.  Any tie order is a legal serialisation of the same
+    // virtual-time schedule, so correct programs are insensitive to the
+    // choice.  The tie group is every queued proc at the lowest clock, popped
+    // in index order — the same candidates, in the same order, as the scan
+    // this replaced, so the RNG stream consumes identically and perturbed
+    // runs stay byte-for-byte reproducible across engine versions.
+    const double best_clock = ready_.front().first;
+    ties_.clear();
+    while (!ready_.empty() && ready_.front().first == best_clock) {
+      ties_.push_back(ready_pop());
+    }
+    const std::size_t pick =
+        ties_.size() > 1 ? perturb_rng_.next_u64() % ties_.size() : 0;
+    for (std::size_t i = 0; i < ties_.size(); ++i) {
+      if (i != pick) ready_push(ties_[i]);
+    }
+    return ties_[pick];
   }
-  return next;
-}
-
-int Engine::pick_or_deadlock() {
-  int next = pick_next();
-  if (next >= 0) return next;
   // Nobody runnable: either everyone finished (fine) or deadlock.
   bool all_finished =
       std::all_of(states_.begin(), states_.end(),
@@ -578,7 +683,7 @@ void Engine::signal(int global_rank) {
                    "signal: bad rank");
   if (states_[static_cast<std::size_t>(global_rank)] == State::kBlocked) {
     states_[static_cast<std::size_t>(global_rank)] = State::kRunnable;
-    ready_insert(global_rank);
+    ready_push(global_rank);
   }
 }
 

@@ -13,13 +13,13 @@
 //   * zero data races: all user code is serialised by the scheduler, so the
 //     layered libraries need no locking of their own.
 //
-// Every proc is a lightweight run-to-yield continuation (a ucontext fiber)
-// on the caller's OS thread.  A yield is a user-space context switch,
-// current_proc() is a scheduler-maintained pointer, and abort unwinds procs
-// one by one on that same thread.  Nothing is shared with another OS
-// thread, so the engine takes no locks; a nested Engine::run is a separate
-// Engine on the same thread.  One process comfortably simulates tens of
-// thousands of ranks in bounded memory (stacks are lazily-committed mmaps).
+// Every proc is a lightweight run-to-yield fiber on the caller's OS thread.
+// A yield is a user-space context switch, current_proc() is a
+// scheduler-maintained pointer, and abort unwinds procs one by one on that
+// same thread.  Nothing is shared with another OS thread, so the engine
+// takes no locks; a nested Engine::run is a separate Engine on the same
+// thread.  One process comfortably simulates tens of thousands of ranks in
+// bounded memory (stacks are lazily-committed mmaps).
 //
 // Procs advance their clocks with Proc::advance(); blocking primitives
 // (Proc::block / Engine::signal) underpin message receive.  If every
@@ -36,7 +36,6 @@
 #include <exception>
 #include <memory>
 #include <functional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -337,7 +336,7 @@ class Engine {
   // Thrown internally to unwind proc bodies when the run is aborted.
   struct Aborted {};
 
-  struct Fiber;  // ucontext continuation state (engine.cpp)
+  struct Fiber;  // a fiber's stack and saved context (engine.cpp)
 
   struct JobInfo {
     std::string name;
@@ -351,39 +350,41 @@ class Engine {
 
   void run_fibers();
   void fiber_main(int global);
+  /// Every fiber's first code: runs fiber_main for the proc that
+  /// switch_to made current, so the entry needs no arguments.
+  static void fiber_entry();
   /// Dispatch fiber `next` from the context of `from` (-1: the scheduler).
   /// `from_dying` marks `from` as permanently done (its stack may be freed
   /// once control leaves it).
   void switch_to(int from, int next, bool from_dying);
-  /// makecontext entry point; the Engine* travels as two ints.
-  static void fiber_trampoline(unsigned hi, unsigned lo, int global);
 
   // ---- scheduler core ---------------------------------------------------
   /// Re-queue the running proc `global` (unless it blocked), pick the next
   /// one and switch to it; returns once `global` is picked again.  Throws
   /// Aborted to unwind the proc's body once the run is aborted.
   void yield_from(int global);
-  int pick_next();
-  /// pick_next, plus deadlock handling: when nothing is runnable but
-  /// unfinished procs remain, aborts the run with a diagnosed DeadlockError
-  /// and returns -1; returns -1 with no error when everything finished.
-  int pick_or_deadlock();
-  /// pick_or_deadlock, plus claiming: the picked proc is removed from the
-  /// ready queue (it is about to run, and a running proc's clock moves).
+  /// Pop the next proc to run off the ready queue.  When nothing is
+  /// runnable but unfinished procs remain, aborts the run with a diagnosed
+  /// DeadlockError and returns -1; returns -1 with no error when everything
+  /// finished.
   int pick_claim();
-  void ready_insert(int global);
+  void ready_push(int global);
+  int ready_pop();
   void abort_run(std::exception_ptr e);
   void observe_finish(int global);
 
   std::vector<Proc> procs_;
   std::vector<State> states_;
-  /// Suspended runnable procs ordered by (clock, global index) — the pick
-  /// order.  Sound because a suspended proc's clock is frozen: clocks only
-  /// advance from the proc's own execution, so entries never go stale.  The
-  /// running proc is *not* in the queue (its clock moves); it re-inserts
-  /// itself when it yields.  Replaces an O(nprocs) scan per context switch
-  /// that dominated host time beyond ~1k ranks (see docs/SCALING.md).
-  std::set<std::pair<double, int>> ready_;
+  /// Suspended runnable procs as a binary min-heap of (clock, global index)
+  /// — the pick order.  Sound because a suspended proc's clock is frozen:
+  /// clocks only advance from the proc's own execution, so entries never go
+  /// stale.  The running proc is *not* in the heap (its clock moves); it
+  /// pushes itself when it yields and another proc sorts first.  Reserved
+  /// for every proc up front, so no push or pop allocates.  Replaces an
+  /// O(nprocs) scan per context switch that dominated host time beyond ~1k
+  /// ranks (see docs/SCALING.md).
+  std::vector<std::pair<double, int>> ready_;
+  std::vector<int> ties_;  ///< a perturbed pick's equal-clock group
   std::vector<JobInfo> jobs_;
   std::vector<const std::function<void(Proc&)>*> bodies_;  ///< per job
   bool aborted_ = false;

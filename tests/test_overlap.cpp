@@ -18,6 +18,7 @@
 #include <sstream>
 #include <vector>
 
+#include "base/rng.hpp"
 #include "check/io_checker.hpp"
 #include "fault/fault.hpp"
 #include "mpi/io/file.hpp"
@@ -42,10 +43,18 @@ RuntimeParams rparams(int n) {
   return p;
 }
 
+/// `n` bytes that never repeat with a short period, so a piece that lands
+/// at the wrong offset shows: byte i is byte i % 8 of the SplitMix64 draw
+/// for word i / 8 of the seed's stream.  A prefix of a longer pattern is the
+/// shorter one.
 std::vector<std::byte> pattern(std::size_t n, unsigned seed = 1) {
   std::vector<std::byte> v(n);
-  for (std::size_t i = 0; i < n; ++i)
-    v[i] = static_cast<std::byte>((i * 131 + seed) & 0xff);
+  Rng words(seed);
+  std::uint64_t w = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 8 == 0) w = words.next_u64();
+    v[i] = static_cast<std::byte>(w >> (8 * (i % 8)));
+  }
   return v;
 }
 

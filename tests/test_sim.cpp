@@ -3,9 +3,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfenv>
 #include <functional>
 #include <utility>
 #include <vector>
+
+#if defined(__SSE2__)
+#include <xmmintrin.h>
+#endif
 
 #include "sim/engine.hpp"
 
@@ -376,6 +381,57 @@ TEST(EngineBackends, DeepRecursionFitsTheDefaultFiberStack) {
     rec(p, 64);
   });
   EXPECT_DOUBLE_EQ(r.makespan, 1.0);
+}
+
+/// The calling context's floating-point control state: the rounding mode
+/// (glibc reads the x87 control word) and, on SSE, MXCSR's rounding and
+/// flush-to-zero bits.
+std::pair<int, unsigned> fp_control() {
+#if defined(__SSE2__)
+  return {std::fegetround(),
+          _mm_getcsr() & (_MM_ROUND_MASK | _MM_FLUSH_ZERO_MASK)};
+#else
+  return {std::fegetround(), 0u};
+#endif
+}
+
+void set_fp_control(int round, bool flush_to_zero) {
+  std::fesetround(round);
+#if defined(__SSE2__)
+  _MM_SET_FLUSH_ZERO_MODE(flush_to_zero ? _MM_FLUSH_ZERO_ON
+                                        : _MM_FLUSH_ZERO_OFF);
+#else
+  (void)flush_to_zero;
+#endif
+}
+
+// The System V ABI makes the FP control state callee-saved, so it belongs
+// to each fiber: a switch must carry it away with the suspended fiber and
+// bring back the resumed one's, and the scheduler's own is left untouched.
+TEST(EngineBackends, FloatingPointControlStateBelongsToEachFiber) {
+  const std::pair<int, unsigned> outer = fp_control();
+  set_fp_control(FE_UPWARD, true);
+  const std::pair<int, unsigned> upward = fp_control();
+  set_fp_control(FE_TONEAREST, false);
+  const std::pair<int, unsigned> nearest = fp_control();
+  std::pair<int, unsigned> rank1_saw, rank0_resumed_with;
+  Engine::run(classic_opts(2), [&](Proc& p) {
+    if (p.rank() == 0) {
+      set_fp_control(FE_UPWARD, true);
+      p.advance(1.0);  // rank 1, still at clock 0, runs now
+      rank0_resumed_with = fp_control();
+    } else {
+      rank1_saw = fp_control();
+      p.advance(2.0);
+    }
+  });
+  const std::pair<int, unsigned> after = fp_control();
+  set_fp_control(FE_TONEAREST, false);  // whatever the run left behind
+  EXPECT_EQ(outer, nearest);
+  EXPECT_NE(upward, nearest);
+  EXPECT_EQ(rank1_saw, nearest);
+  EXPECT_EQ(rank0_resumed_with, upward);
+  EXPECT_EQ(after, outer);
 }
 
 // ---- abort unwinding -------------------------------------------------------

@@ -15,9 +15,12 @@ Two modes:
       nprocs, backend); the simulator's virtual clock is deterministic,
       so by default every metric must match exactly.  --tol-time F
       allows candidate times up to F fractional slack above base (e.g.
-      0.05 = 5%); byte/count metrics are always exact.  Faster times and
-      rows present on only one side are reported but never fail the
-      comparison (a new bench point is not a regression).
+      0.05 = 5%); byte/count metrics are always exact.  A base row with
+      no candidate row fails when the candidate has other rows of that
+      bench (a lost or renamed point).  Faster times, candidate-only rows
+      and benches the candidate lacks altogether are reported but never
+      fail (a new bench point is not a regression, and a directory run
+      may cover fewer benches than the baselines).
 
 Exit codes: 0 clean, 1 regressions (or invalid schema), 2 usage/IO error.
 """
@@ -150,9 +153,13 @@ def mode_compare(base_path, cand_path, tol_time, advisory):
 
     regressions = []
     notes = []
+    cand_benches = {key[0] for key in cand}
     for key in sorted(base):
         if key not in cand:
-            notes.append("only in base: %s" % describe(key))
+            if key[0] in cand_benches:
+                regressions.append("%s: no candidate row" % describe(key))
+            else:
+                notes.append("only in base: %s" % describe(key))
             continue
         b, c = base[key], cand[key]
         for m in TIME_METRICS:
