@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -27,6 +28,7 @@
 #include "enzo/checkpoint.hpp"
 #include "enzo/simulation.hpp"
 #include "fault/fault.hpp"
+#include "golden_util.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/profiler.hpp"
 #include "pfs/local_disk_fs.hpp"
@@ -217,6 +219,11 @@ struct StagedOutcome {
   std::map<std::string, std::uint64_t> drained;  ///< destination, non-empty
   std::uint64_t unmapped_read_bytes = 0;
   std::uint64_t staged_live_bytes = 0;
+  std::vector<double> finish_times;  ///< every rank's final virtual clock
+  std::uint64_t stage_retries = 0;
+  std::uint64_t drain_retries = 0;
+  std::uint64_t staging_fs_retries = 0;  ///< the staging tier's own loop
+  std::uint64_t dest_fs_retries = 0;
 };
 
 /// Staged run: same workload through a LocalDiskFs-staged facade over the
@@ -238,14 +245,16 @@ StagedOutcome run_staged(Kind kind, DrainPolicy policy, std::uint64_t perturb,
   staged.attach_observer(&checker);
 
   verify::Verifier v;
+  std::vector<double> finish_times;
   {
     verify::Attach attach(v);
     mpi::RuntimeParams rp = rparams(kProcs, perturb);
     rp.extra_fabric_nodes = sp.n_io_nodes;
     mpi::Runtime rt(rp);
-    rt.run([&](mpi::Comm& c) {
-      dump_restart(kind, staged, {}, checker, c, &staged, policy);
-    });
+    finish_times = rt.run([&](mpi::Comm& c) {
+                     dump_restart(kind, staged, {}, checker, c, &staged,
+                                  policy);
+                   }).finish_times;
   }
   if (policy == DrainPolicy::kLazy) staged.flush_untimed();
 
@@ -260,6 +269,11 @@ StagedOutcome run_staged(Kind kind, DrainPolicy policy, std::uint64_t perturb,
   o.drained = nonzero_checksums(dest.store());
   o.unmapped_read_bytes = staged.unmapped_read_bytes();
   o.staged_live_bytes = staged.staged_live_bytes();
+  o.finish_times = std::move(finish_times);
+  o.stage_retries = staged.stage_retries();
+  o.drain_retries = staged.drain_retries();
+  o.staging_fs_retries = staging.fs_retries();
+  o.dest_fs_retries = dest.fs_retries();
   return o;
 }
 
@@ -472,12 +486,9 @@ INSTANTIATE_TEST_SUITE_P(
 // drain-budget contract.
 // ---------------------------------------------------------------------------
 
-TEST(StageFaults, TransientAndOutageOnStagingTierConverge) {
-  // Transient EIO + short transfers everywhere on the staging tier, plus a
-  // full server outage window early in the run; the stage retry budget must
-  // ride all of it out and converge to the no-fault bytes.
-  const auto clean = run_staged(Kind::kMpiIo, DrainPolicy::kSync, 0);
-
+/// Transient EIO + short transfers everywhere on the staging tier, plus a
+/// full server outage window early in the run.
+fault::FaultPlan staging_fault_plan() {
   fault::FaultPlan plan;
   plan.seed = 77;
   fault::FaultSpec eio;
@@ -496,12 +507,22 @@ TEST(StageFaults, TransientAndOutageOnStagingTierConverge) {
   plan.specs.push_back(eio);
   plan.specs.push_back(shortw);
   plan.specs.push_back(outage);
-  fault::Injector injector(plan);
+  return plan;
+}
 
+StagedFsParams staging_retry_params() {
   StagedFsParams params;
   params.stage_retry.max_retries = 25;  // budget must outlast the outage
-  const auto faulted =
-      run_staged(Kind::kMpiIo, DrainPolicy::kSync, 0, &injector, params);
+  return params;
+}
+
+TEST(StageFaults, TransientAndOutageOnStagingTierConverge) {
+  // The stage retry budget must ride the whole plan out and converge to the
+  // no-fault bytes.
+  const auto clean = run_staged(Kind::kMpiIo, DrainPolicy::kSync, 0);
+  fault::Injector injector(staging_fault_plan());
+  const auto faulted = run_staged(Kind::kMpiIo, DrainPolicy::kSync, 0,
+                                  &injector, staging_retry_params());
 
   EXPECT_GT(injector.counters().injected_total(), 0u)
       << "plan injected nothing; the run proves nothing";
@@ -509,6 +530,31 @@ TEST(StageFaults, TransientAndOutageOnStagingTierConverge) {
   EXPECT_EQ(faulted.drained, clean.drained);
   EXPECT_EQ(faulted.unmapped_read_bytes, 0u);
   EXPECT_EQ(faulted.staged_live_bytes, 0u);
+}
+
+// RetryGolden: the staging plan's clocks and retry counters, recorded before
+// the retry loops of every layer were folded into one.  Exact: clocks
+// compare as IEEE-754 bit patterns.  Fault draws follow the global op order,
+// which the tie order moves, so the run clears PARAMRIO_SCHED_SEED.
+TEST(RetryGolden, StagingPlanClocksAndRetriesArePinned) {
+  testutil::ScopedNoSchedSeed no_seed;
+  fault::Injector injector(staging_fault_plan());
+  const auto got = run_staged(Kind::kMpiIo, DrainPolicy::kSync, 0, &injector,
+                              staging_retry_params());
+  const std::uint64_t want_finish[kProcs] = {
+      0x3ff0778ed4bb7344ULL, 0x3ff07779dc05ea60ULL, 0x3ff077845860aed2ULL,
+      0x3ff077845860aed2ULL};
+  ASSERT_EQ(got.finish_times.size(), static_cast<std::size_t>(kProcs));
+  for (std::size_t r = 0; r < got.finish_times.size(); ++r) {
+    const std::uint64_t bits = testutil::bits_of(got.finish_times[r]);
+    EXPECT_EQ(bits, want_finish[r])
+        << "rank " << r << std::hex << " 0x" << bits;
+  }
+  EXPECT_EQ(got.stage_retries, 40u);
+  EXPECT_EQ(got.drain_retries, 0u);
+  EXPECT_EQ(got.staging_fs_retries, 0u);
+  EXPECT_EQ(got.dest_fs_retries, 0u);
+  EXPECT_EQ(injector.counters().injected_total(), 43u);
 }
 
 TEST(StageFaults, DrainBudgetExhaustionIsDiagnosedNotSilent) {
