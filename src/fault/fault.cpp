@@ -217,10 +217,9 @@ void Injector::export_counters(obs::MetricsRegistry& reg,
   reg.add(scope, "messages_seen", counters_.messages);
   reg.add(scope, "injected_total", counters_.injected_total());
   for (std::size_t k = 0; k < 8; ++k) {
-    if (counters_.injected[k] == 0) continue;
-    reg.add(scope,
-            std::string("injected_") + to_string(static_cast<FaultKind>(k)),
-            counters_.injected[k]);
+    reg.add_nonzero(
+        scope, std::string("injected_") + to_string(static_cast<FaultKind>(k)),
+        counters_.injected[k]);
   }
 }
 

@@ -17,12 +17,20 @@ double backoff_delay(const RetryPolicy& policy, int attempt) {
   return std::clamp(d, 0.0, policy.backoff_max);
 }
 
-double charge_backoff(const RetryPolicy& policy, int attempt, sim::Proc& proc) {
-  const double delay = backoff_delay(policy, attempt);
+bool detail::retry_after_failure(const RetryPolicy& policy,
+                                 RetryStats& stats, int* tries,
+                                 std::uint64_t serial) {
+  stats.transient_errors += 1;
+  if (*tries >= policy.max_retries) return false;
+  const double delay = backoff_delay(policy, (*tries)++);
+  stats.retries += 1;
+  stats.backoff_seconds += delay;
+  if (policy.log_delays) stats.delay_log.push_back({serial, delay});
+  sim::Proc& proc = sim::current_proc();
   obs::record_wait(obs::WaitKind::kRetryBackoff, proc.now(),
                    proc.now() + delay);
   proc.advance(delay, sim::TimeCategory::kIo);
-  return delay;
+  return true;
 }
 
 std::string retry_key(const RetryPolicy& policy) {

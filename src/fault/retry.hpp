@@ -1,21 +1,33 @@
-// Retry/backoff policy shared by every layer that survives transient I/O
-// faults: the pfs-level retry loop (protecting serial libraries like the
-// HDF4 writer that talk to the file system directly) and mpi::io::File
-// (protecting the ROMIO-style independent and two-phase collective paths).
+// Surviving short and transient transfers: one retry loop, fault::transfer,
+// and the policy and counters it runs on.  Every retrying layer sends its
+// transfers through it: pfs::FileSystem's read_at/write_at (protecting
+// serial libraries like the HDF4 writer that talk to the file system
+// directly), mpi::io::File (the ROMIO-style independent and two-phase
+// collective paths), stage::StagedFs (record appends, tier reads and the
+// drain) and query::Service.
+//
+// The rule, the same for every caller:
+//   * an attempt moves a prefix of [done, len) and returns its length; a
+//     short transfer resumes behind it and spends no budget;
+//   * a TransientIoError spends one retry, and so does an attempt that
+//     moves nothing; the budget counts per call and is never refilled by
+//     progress;
+//   * once it is spent the attempt's own exception propagates, or a
+//     TransientIoError when the last attempt moved nothing;
+//   * at least one attempt is made, so an empty transfer still reaches the
+//     file system once.
 //
 // Delays are *virtual-clock* seconds: a retrying rank charges the backoff to
-// its simulated processor via sim::Proc::advance, so retries cost virtual
-// time exactly like a real blocked I/O call would, and runs stay
-// bit-reproducible.
+// its simulated processor as I/O time and records a retry-backoff wait for
+// the blame engine, so retries cost virtual time exactly like a real
+// blocked I/O call would, and runs stay bit-reproducible.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-namespace paramrio::sim {
-class Proc;
-}
+#include "base/error.hpp"
 
 namespace paramrio::fault {
 
@@ -43,30 +55,63 @@ struct RetryPolicy {
 /// with backoff_factor >= 1 — the property the retry tests pin down.
 double backoff_delay(const RetryPolicy& policy, int attempt);
 
-/// Charge the backoff before re-attempt `attempt` (0-based) to `proc`'s
-/// virtual clock as I/O time and record it as a retry-backoff wait for the
-/// blame engine.  Shared by every retry loop (pfs-level, mpi::io::File, the
-/// staging drain) so backoff accounting stays uniform.  Returns the delay
-/// charged.
-double charge_backoff(const RetryPolicy& policy, int attempt, sim::Proc& proc);
-
-/// One logged backoff: which retried operation (per-File serial) and how
-/// long it slept on the virtual clock.
+/// One logged backoff: which transfer (RetryStats::transfers serial) and
+/// how long it slept on the virtual clock.
 struct RetryDelay {
   std::uint64_t op = 0;
   double seconds = 0.0;
 };
 
-/// Counters a retrying layer accumulates (embedded in mpi::io::FileStats).
+/// Counters a retrying layer accumulates.  transfer() keeps all but the
+/// short-transfer and verification counts, which mpi::io::File keeps; a
+/// failed attempt is one that threw TransientIoError or moved nothing.
 struct RetryStats {
+  std::uint64_t transfers = 0;            ///< transfer() calls
   std::uint64_t retries = 0;              ///< re-attempts performed
-  std::uint64_t transient_errors = 0;     ///< TransientIoError observed
+  std::uint64_t transient_errors = 0;     ///< failed attempts
   std::uint64_t short_writes = 0;         ///< writes that landed short
   std::uint64_t short_reads = 0;          ///< reads that returned short
   std::uint64_t write_verifications = 0;  ///< short-write read-back checks
   double backoff_seconds = 0.0;           ///< total virtual backoff slept
   std::vector<RetryDelay> delay_log;      ///< filled when log_delays is set
 };
+
+namespace detail {
+/// A failed attempt of transfer `serial`: counts it and, while `*tries` is
+/// below the budget, backs off on the current proc and returns true.
+bool retry_after_failure(const RetryPolicy& policy, RetryStats& stats,
+                         int* tries, std::uint64_t serial);
+}  // namespace detail
+
+/// The retry loop: calls `attempt(done)`, which moves bytes from offset
+/// `done` of the transfer on and returns how many, until `len` bytes have
+/// moved (see the rule above).  Returns the bytes moved.
+template <class Attempt>
+std::uint64_t transfer(const RetryPolicy& policy, RetryStats& stats,
+                       std::uint64_t len, Attempt&& attempt) {
+  const std::uint64_t serial = stats.transfers++;
+  std::uint64_t done = 0;
+  int tries = 0;
+  for (;;) {
+    std::uint64_t got = 0;
+    try {
+      got = attempt(done);
+    } catch (const TransientIoError&) {
+      if (!detail::retry_after_failure(policy, stats, &tries, serial)) throw;
+      continue;
+    }
+    done += got;
+    if (done >= len) return done;
+    if (got == 0 &&
+        !detail::retry_after_failure(policy, stats, &tries, serial)) {
+      throw TransientIoError("transfer stalled at byte " +
+                             std::to_string(done) + " of " +
+                             std::to_string(len) + " after " +
+                             std::to_string(policy.max_retries) +
+                             " retries");
+    }
+  }
+}
 
 /// Compact rendering for the hints key ("r4,b0.0005,f2,m0.1"); "r0" when
 /// retrying is disabled.

@@ -44,11 +44,6 @@ void Dataspace::select_block(const std::vector<std::uint64_t>& start,
   select_hyperslab(slab);
 }
 
-void Dataspace::select_all() {
-  slab_.reset();
-  none_ = false;
-}
-
 void Dataspace::select_none() {
   slab_.reset();
   none_ = true;

@@ -40,8 +40,6 @@ class Dataspace {
   void select_block(const std::vector<std::uint64_t>& start,
                     const std::vector<std::uint64_t>& count);
 
-  void select_all();
-
   /// Select no elements (HDF5's H5Sselect_none): zero-size participation in
   /// collective transfers.
   void select_none();

@@ -237,7 +237,7 @@ class Dataset {
   void read(const Dataspace& file_space, std::span<std::byte> buf,
             bool collective = true);
 
-  /// Whole-dataset convenience (select_all).
+  /// Whole-dataset convenience (every element selected).
   void write_all(std::span<const std::byte> buf, bool collective = true);
   void read_all(std::span<std::byte> buf, bool collective = true);
 

@@ -107,48 +107,24 @@ void File::persist_stats() {
   reg.add(scope, "cb_straddle_windows", stats_.cb_straddle_windows);
   reg.add(scope, "cb_token_saves", stats_.cb_token_saves);
   reg.observe_max(scope, "cb_peak_window_bytes", stats_.cb_peak_window_bytes);
-  // Fault-survival counters, persisted only when something actually fired so
-  // clean runs keep their registry (and trace export) byte-identical.
   const fault::RetryStats& rs = stats_.retry;
-  if (rs.retries > 0) reg.add(scope, "io_retries", rs.retries);
-  if (rs.transient_errors > 0) {
-    reg.add(scope, "transient_io_errors", rs.transient_errors);
-  }
-  if (rs.short_writes > 0) reg.add(scope, "short_writes", rs.short_writes);
-  if (rs.short_reads > 0) reg.add(scope, "short_reads", rs.short_reads);
-  if (rs.write_verifications > 0) {
-    reg.add(scope, "write_verifications", rs.write_verifications);
-  }
-  if (rs.backoff_seconds > 0.0) {
-    reg.add_value(scope, "backoff_seconds", rs.backoff_seconds);
-  }
-  if (stats_.collective_fallbacks > 0) {
-    reg.add(scope, "collective_fallbacks", stats_.collective_fallbacks);
-  }
-  // Overlap counters, likewise persisted only when nonzero: overlap-off runs
-  // keep their registry byte-identical to pre-overlap releases.
-  if (stats_.split_collectives > 0) {
-    reg.add(scope, "split_collectives", stats_.split_collectives);
-  }
-  if (stats_.overlap_windows > 0) {
-    reg.add(scope, "overlap_windows", stats_.overlap_windows);
-  }
-  if (stats_.prefetch_hits > 0) {
-    reg.add(scope, "prefetch_hits", stats_.prefetch_hits);
-  }
-  if (stats_.prefetch_misses > 0) {
-    reg.add(scope, "prefetch_misses", stats_.prefetch_misses);
-  }
-  if (stats_.view_flatten_cache_hits > 0) {
-    reg.add(scope, "view_flatten_cache_hits", stats_.view_flatten_cache_hits);
-  }
-  if (stats_.overlap_saved_time > 0.0) {
-    reg.add_value(scope, "overlap_saved_time", stats_.overlap_saved_time);
-  }
-  if (stats_.requests_leaked_at_close > 0) {
-    reg.add(scope, "requests_leaked_at_close",
-            stats_.requests_leaked_at_close);
-  }
+  reg.add_nonzero(scope, "io_retries", rs.retries);
+  reg.add_nonzero(scope, "transient_io_errors", rs.transient_errors);
+  reg.add_nonzero(scope, "short_writes", rs.short_writes);
+  reg.add_nonzero(scope, "short_reads", rs.short_reads);
+  reg.add_nonzero(scope, "write_verifications", rs.write_verifications);
+  reg.add_value_nonzero(scope, "backoff_seconds", rs.backoff_seconds);
+  reg.add_nonzero(scope, "collective_fallbacks", stats_.collective_fallbacks);
+  reg.add_nonzero(scope, "split_collectives", stats_.split_collectives);
+  reg.add_nonzero(scope, "overlap_windows", stats_.overlap_windows);
+  reg.add_nonzero(scope, "prefetch_hits", stats_.prefetch_hits);
+  reg.add_nonzero(scope, "prefetch_misses", stats_.prefetch_misses);
+  reg.add_nonzero(scope, "view_flatten_cache_hits",
+                  stats_.view_flatten_cache_hits);
+  reg.add_value_nonzero(scope, "overlap_saved_time",
+                        stats_.overlap_saved_time);
+  reg.add_nonzero(scope, "requests_leaked_at_close",
+                  stats_.requests_leaked_at_close);
 }
 
 void File::check_open(const char* op) const {
@@ -168,115 +144,53 @@ void File::note_collective(const char* op, std::uint64_t data_bytes) const {
 
 // ---- fault-surviving fs access --------------------------------------------
 //
-// Every byte a File moves goes through fs_read/fs_write.  They implement the
-// POSIX-style resume loop (a short transfer is continued from where it
-// stopped — always on, since silently accepting a short write would corrupt
-// the file) and, when hints.retry is enabled, absorb TransientIoError with
-// exponential backoff on the virtual clock and verify the landed prefix of
-// short writes by reading it back.
-
-bool File::try_backoff(int* attempt, std::uint64_t op_serial) {
-  stats_.retry.transient_errors += 1;
-  if (*attempt >= hints_.retry.max_retries) return false;
-  const double delay = fault::backoff_delay(hints_.retry, *attempt);
-  *attempt += 1;
-  stats_.retry.retries += 1;
-  stats_.retry.backoff_seconds += delay;
-  if (hints_.retry.log_delays) {
-    stats_.retry.delay_log.push_back({op_serial, delay});
-  }
-  if (sim::in_simulation()) {
-    sim::Proc& proc = sim::current_proc();
-    obs::record_wait(obs::WaitKind::kRetryBackoff, proc.now(),
-                     proc.now() + delay);
-    proc.advance(delay, sim::TimeCategory::kIo);
-  }
-  return true;
-}
+// Every byte a File moves goes through fs_read/fs_write, each one
+// fault::transfer under hints.retry: a short transfer is continued from
+// where it stopped (always on, since silently accepting a short write would
+// corrupt the file) and, when hints.retry is enabled, TransientIoError is
+// absorbed with exponential backoff on the virtual clock.  fs_write also
+// reads the landed prefix of a retryable short write back before resuming
+// behind it.
 
 void File::fs_read(std::uint64_t offset, std::span<std::byte> out) {
-  if (out.empty()) {
-    fs_.read_at(fd_, offset, out);
-    return;
-  }
-  const std::uint64_t op = retry_op_serial_++;
-  std::uint64_t done = 0;
-  int attempt = 0;
-  while (done < out.size()) {
-    std::uint64_t got = 0;
-    try {
-      got = fs_.read_at(fd_, offset + done, out.subspan(done));
-    } catch (const TransientIoError&) {
-      if (!try_backoff(&attempt, op)) throw;
-      continue;
-    }
+  const auto attempt = [&](std::uint64_t done) {
+    const std::uint64_t got =
+        fs_.read_at(fd_, offset + done, out.subspan(done));
     if (got < out.size() - done) stats_.retry.short_reads += 1;
-    done += got;
-    if (done < out.size() && got == 0) {
-      // Zero progress is indistinguishable from a failure; it consumes
-      // retry budget so a dead-in-the-water file system cannot loop us.
-      if (!try_backoff(&attempt, op)) {
-        throw TransientIoError("read_at(" + path_ +
-                               "): no progress after retries");
-      }
-    }
-  }
+    return got;
+  };
+  fault::transfer(hints_.retry, stats_.retry, out.size(), attempt);
 }
 
 void File::fs_write(std::uint64_t offset, std::span<const std::byte> data) {
-  if (data.empty()) {
-    fs_.write_at(fd_, offset, data);
-    return;
-  }
-  const std::uint64_t op = retry_op_serial_++;
-  std::uint64_t done = 0;
-  int attempt = 0;
-  std::vector<std::byte> verify;
-  while (done < data.size()) {
-    std::uint64_t wrote = 0;
+  const fault::RetryPolicy& rp = hints_.retry;
+  const auto attempt = [&](std::uint64_t done) {
+    const std::uint64_t wrote =
+        fs_.write_at(fd_, offset + done, data.subspan(done));
+    if (wrote == data.size() - done) return wrote;
+    stats_.retry.short_writes += 1;
+    if (!rp.enabled() || !rp.verify_short_writes || wrote == 0) return wrote;
+    // Read the landed prefix back before resuming behind it: a short write
+    // that also corrupted its prefix must be redone, not resumed.
+    std::vector<std::byte> landed(wrote);
+    bool intact = true;
     try {
-      wrote = fs_.write_at(fd_, offset + done, data.subspan(done));
-    } catch (const TransientIoError&) {
-      if (!try_backoff(&attempt, op)) throw;
-      continue;
+      const std::uint64_t got = fs_.read_at(fd_, offset + done, landed);
+      stats_.retry.write_verifications += 1;
+      intact = std::equal(landed.begin(),
+                          landed.begin() + static_cast<std::ptrdiff_t>(got),
+                          data.begin() + static_cast<std::ptrdiff_t>(done));
+    } catch (const TransientIoError&) {  // lint:allow(retry-loop)
+      // The read-back is a check, not a transfer: when it fails transiently
+      // the landed prefix is still the store's truth, so resume behind it.
     }
-    if (wrote < data.size() - done) {
-      stats_.retry.short_writes += 1;
-      if (hints_.retry.enabled() && hints_.retry.verify_short_writes &&
-          wrote > 0) {
-        // Read the landed prefix back before resuming behind it: a short
-        // write that also corrupted its prefix must be redone, not resumed.
-        verify.resize(wrote);
-        bool rewrite = false;
-        try {
-          const std::uint64_t vgot =
-              fs_.read_at(fd_, offset + done, std::span<std::byte>(verify));
-          stats_.retry.write_verifications += 1;
-          rewrite = !std::equal(
-              verify.begin(),
-              verify.begin() + static_cast<std::ptrdiff_t>(vgot),
-              data.begin() + static_cast<std::ptrdiff_t>(done));
-        } catch (const TransientIoError&) {
-          // The verification read itself failed transiently; the landed
-          // prefix is still the store's truth, so resume optimistically.
-        }
-        if (rewrite) {
-          if (!try_backoff(&attempt, op)) {
-            throw TransientIoError("write_at(" + path_ +
-                                   "): verification mismatch");
-          }
-          continue;  // rewrite the remainder including the bad prefix
-        }
-      }
+    if (!intact) {
+      throw TransientIoError("write_at(" + path_ +
+                             "): verification mismatch");
     }
-    done += wrote;
-    if (done < data.size() && wrote == 0) {
-      if (!try_backoff(&attempt, op)) {
-        throw TransientIoError("write_at(" + path_ +
-                               "): no progress after retries");
-      }
-    }
-  }
+    return wrote;
+  };
+  fault::transfer(rp, stats_.retry, data.size(), attempt);
 }
 
 void File::set_view(std::uint64_t disp, Datatype filetype) {

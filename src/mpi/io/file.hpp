@@ -269,17 +269,13 @@ class File {
   void two_phase(bool is_write, const std::vector<Segment>& segs,
                  std::span<std::byte> rbuf, std::span<const std::byte> wbuf);
 
-  /// All fs data access goes through these: they resume short transfers
-  /// (ROMIO's POSIX-style write loop, always on), verify the landed prefix
-  /// of retryable short writes, and — when hints.retry is enabled — absorb
-  /// TransientIoError with exponential virtual-clock backoff.
+  /// All fs data access goes through these, each one fault::transfer under
+  /// hints.retry: they resume short transfers (ROMIO's POSIX-style write
+  /// loop, always on), verify the landed prefix of retryable short writes,
+  /// and — when hints.retry is enabled — absorb TransientIoError with
+  /// exponential virtual-clock backoff.
   void fs_read(std::uint64_t offset, std::span<std::byte> out);
   void fs_write(std::uint64_t offset, std::span<const std::byte> data);
-
-  /// Shared retry-loop bookkeeping: counts the transient failure and, when
-  /// budget remains, sleeps the backoff on the virtual clock and returns
-  /// true; false means the caller must (re)throw.
-  bool try_backoff(int* attempt, std::uint64_t op_serial);
 
   /// Try to absorb an absolute-offset write run into the write-behind
   /// buffer; returns false when buffering is off or the run cannot fit.
@@ -332,10 +328,6 @@ class File {
   /// Write-behind state: pending coalesced runs, sorted by offset.
   std::map<std::uint64_t, std::vector<std::byte>> wb_runs_;
   std::uint64_t wb_bytes_ = 0;
-
-  /// Serial of the current fs_read/fs_write call, for grouping logged
-  /// backoff delays per retried operation.
-  std::uint64_t retry_op_serial_ = 0;
 
   /// View-flatten memo: a small LRU of recent flattenings (disp-relative)
   /// keyed by filetype signature and requested stream range.  The previous

@@ -143,7 +143,7 @@ void Network::export_counters(obs::MetricsRegistry& reg) const {
     reg.add("net", "msg_drops", counters_.msg_drops);
     reg.add("net", "retransmit_bytes", counters_.retransmit_bytes);
   }
-  if (counters_.msg_dups > 0) reg.add("net", "msg_dups", counters_.msg_dups);
+  reg.add_nonzero("net", "msg_dups", counters_.msg_dups);
   // Drain traffic; nonzero-only so exports from runs without a staging tier
   // stay byte-identical to previous releases.
   if (counters_.background_transfers > 0) {

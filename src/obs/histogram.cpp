@@ -49,11 +49,4 @@ void Histogram::export_to(MetricsRegistry& reg, const std::string& scope) const 
   reg.set_value(scope, "p99", percentile(99.0));
 }
 
-void Histogram::clear() {
-  buckets_.clear();
-  samples_.clear();
-  sum_ = 0.0;
-  max_ = 0.0;
-}
-
 }  // namespace paramrio::obs

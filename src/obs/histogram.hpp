@@ -49,8 +49,6 @@ class Histogram {
   /// p99.  No-op when the histogram is empty.
   void export_to(MetricsRegistry& reg, const std::string& scope) const;
 
-  void clear();
-
  private:
   std::map<int, std::uint64_t> buckets_;
   std::vector<double> samples_;

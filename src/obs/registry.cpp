@@ -13,6 +13,16 @@ void MetricsRegistry::add(const std::string& scope, const std::string& name,
   scopes_[scope].counters[name] += delta;
 }
 
+void MetricsRegistry::add_nonzero(const std::string& scope,
+                                  const std::string& name, std::uint64_t n) {
+  if (n != 0) add(scope, name, n);
+}
+
+void MetricsRegistry::add_value_nonzero(const std::string& scope,
+                                        const std::string& name, double v) {
+  if (v > 0.0) add_value(scope, name, v);
+}
+
 void MetricsRegistry::set(const std::string& scope, const std::string& name,
                           std::uint64_t value) {
   scopes_[scope].counters[name] = value;

@@ -40,6 +40,16 @@ class MetricsRegistry {
   void add(const std::string& scope, const std::string& name,
            std::uint64_t delta);
 
+  /// Export rule for counters that are zero in a clean run (fault
+  /// survival, overlap, staging, query extras): add only when `n != 0` /
+  /// `v > 0.0`, so a run where nothing fired keeps its registry, and every
+  /// export built on it, byte-identical to one built before the counter
+  /// existed.
+  void add_nonzero(const std::string& scope, const std::string& name,
+                   std::uint64_t n);
+  void add_value_nonzero(const std::string& scope, const std::string& name,
+                         double v);
+
   /// Overwrite an integer counter.
   void set(const std::string& scope, const std::string& name,
            std::uint64_t value);

@@ -50,28 +50,6 @@ std::uint64_t FileSystem::size(int fd) const {
   return store_.size(descriptor(fd, "size").path);
 }
 
-template <class Attempt>
-std::uint64_t FileSystem::with_retry(std::uint64_t len, Attempt attempt) {
-  std::uint64_t done = 0;
-  int tries = 0;
-  for (;;) {
-    try {
-      done += attempt(done);
-    } catch (const TransientIoError&) {
-      if (tries >= retry_.max_retries) throw;
-      fault::charge_backoff(retry_, tries, sim::current_proc());
-      ++tries;
-      fs_retries_ += 1;
-      continue;
-    }
-    if (done >= len) return done;
-    // Short transfer: without fs-level retry the caller sees the prefix
-    // length; with it the remainder is resumed (progress was made, so no
-    // retry budget is consumed).
-    if (!retry_.enabled()) return done;
-  }
-}
-
 std::uint64_t FileSystem::read_at(int fd, std::uint64_t offset,
                                   std::span<std::byte> out) {
   OpenFile& f = descriptor_mut(fd, "read_at");
@@ -86,9 +64,12 @@ std::uint64_t FileSystem::read_at(int fd, std::uint64_t offset,
     store_.read_at(f.path, offset, out);
     return out.size();
   }
-  return with_retry(out.size(), [&](std::uint64_t done) {
+  const auto attempt = [&](std::uint64_t done) {
     return read_attempt(f, fd, offset + done, out.subspan(done));
-  });
+  };
+  // Without fs-level retry the caller sees the short prefix or the error.
+  if (!retry_.enabled()) return attempt(0);
+  return fault::transfer(retry_, retry_stats_, out.size(), attempt);
 }
 
 void FileSystem::read_exact(int fd, std::uint64_t offset,
@@ -157,9 +138,11 @@ std::uint64_t FileSystem::write_at(int fd, std::uint64_t offset,
     on_untimed_write(f.path, offset, data);
     return data.size();
   }
-  return with_retry(data.size(), [&](std::uint64_t done) {
+  const auto attempt = [&](std::uint64_t done) {
     return write_attempt(f, fd, offset + done, data.subspan(done));
-  });
+  };
+  if (!retry_.enabled()) return attempt(0);
+  return fault::transfer(retry_, retry_stats_, data.size(), attempt);
 }
 
 std::uint64_t FileSystem::write_attempt(OpenFile& f, int fd,
@@ -236,7 +219,7 @@ void FileSystem::account_job(const sim::Proc& proc, bool is_write,
 
 void FileSystem::export_counters(obs::MetricsRegistry& reg) const {
   reg.add("fs:" + name(), "cache_hit_bytes", cache_hits_);
-  if (fs_retries_ > 0) reg.add("fs:" + name(), "retries", fs_retries_);
+  reg.add_nonzero("fs:" + name(), "retries", retry_stats_.retries);
   // Per-tenant traffic breakdown, only in genuinely multi-job runs so every
   // single-job registry export stays byte-identical to previous releases.
   if (job_io_.size() > 1) {

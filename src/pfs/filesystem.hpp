@@ -159,17 +159,18 @@ class FileSystem {
   void attach_fault_hook(fault::IoFaultHook* hook) { fault_hook_ = hook; }
   fault::IoFaultHook* fault_hook() const { return fault_hook_; }
 
-  /// Enable file-system-level retry: read_at/write_at absorb injected
-  /// transient errors (with exponential virtual-clock backoff) and resume
-  /// short transfers internally, so libraries that talk to the fs directly
-  /// — the serial HDF4 writer, the hierarchy file, HDF5 metadata — survive
-  /// faults without their own retry loops.  Default-off: a zero-valued
-  /// policy propagates transient errors and reports short transfers.
+  /// Enable file-system-level retry: read_at/write_at run through
+  /// fault::transfer, absorbing injected transient errors (with exponential
+  /// virtual-clock backoff) and resuming short transfers, so libraries that
+  /// talk to the fs directly — the serial HDF4 writer, the hierarchy file,
+  /// HDF5 metadata — survive faults without their own retry loops.
+  /// Default-off: a zero-valued policy makes one attempt, which propagates
+  /// transient errors and reports short transfers.
   void set_retry(const fault::RetryPolicy& policy) { retry_ = policy; }
   const fault::RetryPolicy& retry() const { return retry_; }
 
   /// Re-attempts the fs-level retry loop performed (tests/obs export).
-  std::uint64_t fs_retries() const { return fs_retries_; }
+  std::uint64_t fs_retries() const { return retry_stats_.retries; }
 
   /// I/O server holding byte `offset` of `path` under this fs's layout, or
   /// -1 when unstriped (fault specs match on this).
@@ -238,11 +239,6 @@ class FileSystem {
                              std::span<std::byte> out);
   std::uint64_t write_attempt(OpenFile& f, int fd, std::uint64_t offset,
                               std::span<const std::byte> data);
-  /// The retry loop read_at and write_at share: calls `attempt(done)`, which
-  /// moves bytes from `done` on and returns how many, until `len` bytes have
-  /// moved.  A TransientIoError backs off and retries while budget remains.
-  template <class Attempt>
-  std::uint64_t with_retry(std::uint64_t len, Attempt attempt);
   /// The fault hook's verdict on one attempt: the bytes it lets move (after
   /// any injected stall), or a thrown TransientIoError / CrashError.
   std::uint64_t admitted_bytes(sim::Proc& proc, const std::string& path,
@@ -266,7 +262,7 @@ class FileSystem {
   IoObserver* observer_ = nullptr;
   fault::IoFaultHook* fault_hook_ = nullptr;
   fault::RetryPolicy retry_;
-  std::uint64_t fs_retries_ = 0;
+  fault::RetryStats retry_stats_;
   bool cache_enabled_ = false;
   double cache_bandwidth_ = 0.0;
   std::uint64_t cache_hits_ = 0;

@@ -43,10 +43,4 @@ void SharedCache::evict_for(std::uint64_t incoming_bytes) {
   }
 }
 
-void SharedCache::clear() {
-  entries_.clear();
-  lru_.clear();
-  current_bytes_ = 0;
-}
-
 }  // namespace paramrio::query

@@ -62,8 +62,6 @@ class SharedCache {
   /// still cached alone.
   void insert(const Key& key, BlockData data, double ready_time);
 
-  void clear();
-
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t evictions() const { return evictions_; }

@@ -165,26 +165,10 @@ Service::OpenPath& Service::open_path(const std::string& path) {
 
 void Service::timed_read(int fd, std::uint64_t offset,
                          std::span<std::byte> out) {
-  const fault::RetryPolicy& rp = params_.hints.retry;
-  sim::Proc& proc = sim::current_proc();
-  std::uint64_t done = 0;
-  int attempt = 0;
-  while (done < out.size()) {
-    try {
-      std::uint64_t got = fs_.read_at(fd, offset + done, out.subspan(done));
-      if (got == 0) {
-        throw IoError("query: unexpected EOF at offset " +
-                      std::to_string(offset + done));
-      }
-      done += got;
-      attempt = 0;
-    } catch (const TransientIoError&) {
-      if (attempt >= rp.max_retries) throw;
-      fault::charge_backoff(rp, attempt, proc);
-      ++attempt;
-      ++io_retries_;
-    }
-  }
+  fault::transfer(params_.hints.retry, io_stats_, out.size(),
+                  [&](std::uint64_t done) {
+                    return fs_.read_at(fd, offset + done, out.subspan(done));
+                  });
 }
 
 std::vector<std::byte> Service::fetch_block(const std::string& path,
@@ -512,21 +496,17 @@ void Service::export_counters(obs::MetricsRegistry& reg) const {
   reg.add(scope, "fetched_bytes", fetched_bytes_);
   reg.add(scope, "demand_fetches", demand_fetches_);
   reg.add(scope, "index_builds", index_builds_);
-  if (index_loads_ > 0) reg.add(scope, "index_loads", index_loads_);
-  if (grid_decodes_ > 0) reg.add(scope, "grid_decodes", grid_decodes_);
-  if (io_retries_ > 0) reg.add(scope, "io_retries", io_retries_);
-  if (prefetches_ > 0) reg.add(scope, "prefetches", prefetches_);
-  if (shared_fetch_waits_ > 0) {
-    reg.add(scope, "shared_fetch_waits", shared_fetch_waits_);
-  }
+  reg.add_nonzero(scope, "index_loads", index_loads_);
+  reg.add_nonzero(scope, "grid_decodes", grid_decodes_);
+  reg.add_nonzero(scope, "io_retries", io_stats_.retries);
+  reg.add_nonzero(scope, "prefetches", prefetches_);
+  reg.add_nonzero(scope, "shared_fetch_waits", shared_fetch_waits_);
   if (params_.cache_enabled) {
     reg.add(scope, "cache_hits", cache_.hits());
     reg.add(scope, "cache_misses", cache_.misses());
     reg.add(scope, "cache_hit_bytes", cache_.hit_bytes());
     reg.add(scope, "cache_inserted_bytes", cache_.inserted_bytes());
-    if (cache_.evictions() > 0) {
-      reg.add(scope, "cache_evictions", cache_.evictions());
-    }
+    reg.add_nonzero(scope, "cache_evictions", cache_.evictions());
   }
 }
 

@@ -149,7 +149,7 @@ class Service {
   /// Cache-mode block fetches this service performed itself (with ample
   /// capacity this equals the distinct-block count, schedule-invariantly).
   std::uint64_t demand_fetches() const { return demand_fetches_; }
-  std::uint64_t io_retries() const { return io_retries_; }
+  std::uint64_t io_retries() const { return io_stats_.retries; }
   std::uint64_t prefetches() const { return prefetches_; }
   std::uint64_t shared_fetch_waits() const { return shared_fetch_waits_; }
   std::uint64_t index_builds() const { return index_builds_; }
@@ -252,7 +252,7 @@ class Service {
   std::uint64_t payload_bytes_ = 0;
   std::uint64_t fetched_bytes_ = 0;
   std::uint64_t demand_fetches_ = 0;
-  std::uint64_t io_retries_ = 0;
+  fault::RetryStats io_stats_;  ///< timed_read's transfers
   std::uint64_t prefetches_ = 0;
   std::uint64_t shared_fetch_waits_ = 0;
   std::uint64_t index_builds_ = 0;

@@ -61,18 +61,6 @@ class BackgroundRegion {
 
 }  // namespace
 
-const char* to_string(DrainPolicy policy) {
-  switch (policy) {
-    case DrainPolicy::kSync:
-      return "sync";
-    case DrainPolicy::kAsync:
-      return "async";
-    case DrainPolicy::kLazy:
-      return "lazy";
-  }
-  return "?";
-}
-
 StagedFs::StagedFs(StagedFsParams params, pfs::FileSystem& staging,
                    pfs::FileSystem& destination)
     : params_(params), staging_(staging), dest_(destination) {
@@ -111,8 +99,8 @@ int StagedFs::segment_for_append(int rank, std::uint64_t record_bytes) {
 std::pair<int, std::uint64_t> StagedFs::append_record(
     RecordKind kind, const std::string& path, std::uint64_t offset,
     std::span<const std::byte> payload) {
-  const bool timed = sim::in_simulation();
-  const int rank = timed ? sim::current_proc().global_rank() : 0;
+  const int rank =
+      sim::in_simulation() ? sim::current_proc().global_rank() : 0;
   ByteWriter w;
   w.u32(kRecordMagic);
   w.u32(static_cast<std::uint32_t>(kind));
@@ -129,23 +117,16 @@ std::pair<int, std::uint64_t> StagedFs::append_record(
   const std::uint64_t payload_off = rec_off + kHeaderBytes + path.size();
   // The record only becomes visible (tail advance, extent insert) once it is
   // fully staged; a crash mid-append leaves a torn tail that recover()
-  // discards.  A transient staging fault restarts from the record head, so
-  // the log never interleaves partial records.
-  std::uint64_t done = 0;
-  int attempt = 0;
-  while (done < rec.size()) {
-    try {
-      done += staging_.write_at(
-          seg.fd, rec_off + done,
-          std::span<const std::byte>(rec).subspan(done));
-    } catch (const TransientIoError&) {
-      if (!timed || attempt >= params_.stage_retry.max_retries) throw;
-      fault::charge_backoff(params_.stage_retry, attempt,
-                            sim::current_proc());
-      ++attempt;
-      ++stage_retries_;
-    }
-  }
+  // discards.  A short or transient staging fault resumes at the record's
+  // first unwritten byte: the segment belongs to this rank alone and its
+  // tail moves only once the whole record has landed, so the log never
+  // interleaves partial records.
+  const std::span<const std::byte> bytes(rec);
+  fault::transfer(params_.stage_retry, stage_stats_, bytes.size(),
+                  [&](std::uint64_t done) {
+                    return staging_.write_at(seg.fd, rec_off + done,
+                                             bytes.subspan(done));
+                  });
   seg.tail += rec.size();
   if (kind != RecordKind::kData) ++seg.tombstones;
   return {index, payload_off};
@@ -283,22 +264,10 @@ void StagedFs::drop_dest_fds(const std::string& path) {
 
 void StagedFs::tier_read(pfs::FileSystem& fs, int fd, std::uint64_t offset,
                          std::span<std::byte> out) {
-  std::uint64_t done = 0;
-  int attempt = 0;
-  while (done < out.size()) {
-    try {
-      done += fs.read_at(fd, offset + done, out.subspan(done));
-    } catch (const TransientIoError&) {
-      if (!sim::in_simulation() ||
-          attempt >= params_.stage_retry.max_retries) {
-        throw;
-      }
-      fault::charge_backoff(params_.stage_retry, attempt,
-                            sim::current_proc());
-      ++attempt;
-      ++stage_retries_;
-    }
-  }
+  fault::transfer(params_.stage_retry, stage_stats_, out.size(),
+                  [&](std::uint64_t done) {
+                    return fs.read_at(fd, offset + done, out.subspan(done));
+                  });
 }
 
 void StagedFs::backlog_gauge() const {
@@ -484,29 +453,23 @@ void StagedFs::drain_mine(DrainPolicy policy) {
       buf.assign(item.len, std::byte{0});
       tier_read(staging_, ensure_read_fd(seg), item.seg_off, buf);
       const int dfd = dest_write_fd(item.path);
-      std::uint64_t done = 0;
-      int attempt = 0;
-      while (done < buf.size()) {
-        try {
-          done += dest_.write_at(
-              dfd, item.lo + done,
-              std::span<const std::byte>(buf).subspan(done));
-        } catch (const TransientIoError& e) {
-          if (attempt >= params_.drain_retry.max_retries) {
-            // Diagnosed failure, never silent loss: the staged extent stays
-            // indexed and a later drain (or recover) can still migrate it.
-            throw IoError(
-                "stage.drain: destination write of " + item.path + " [" +
-                std::to_string(item.lo) + ", " +
-                std::to_string(item.lo + item.len) + ") from " + seg.path +
-                " failed after " +
-                std::to_string(params_.drain_retry.max_retries) +
-                " retries (" + e.what() + "); staged bytes retained");
-          }
-          fault::charge_backoff(params_.drain_retry, attempt, proc);
-          ++attempt;
-          ++drain_retries_;
-        }
+      const std::span<const std::byte> bytes(buf);
+      try {
+        fault::transfer(params_.drain_retry, drain_stats_, bytes.size(),
+                        [&](std::uint64_t done) {
+                          return dest_.write_at(dfd, item.lo + done,
+                                                bytes.subspan(done));
+                        });
+      } catch (const TransientIoError& e) {  // lint:allow(retry-loop)
+        // The budget is spent.  Diagnosed failure, never silent loss: the
+        // staged extent stays indexed and a later drain (or recover) can
+        // still migrate it.
+        throw IoError("stage.drain: destination write of " + item.path +
+                      " [" + std::to_string(item.lo) + ", " +
+                      std::to_string(item.lo + item.len) + ") from " +
+                      seg.path + " failed after " +
+                      std::to_string(params_.drain_retry.max_retries) +
+                      " retries (" + e.what() + "); staged bytes retained");
       }
       // Erase exactly what was migrated: only intervals still pointing at
       // this segment location (a concurrent overwrite re-staged newer bytes
@@ -664,14 +627,10 @@ void StagedFs::export_counters(obs::MetricsRegistry& reg) const {
   reg.add(scope, "drained_bytes", drained_bytes_);
   reg.add(scope, "staged_live_bytes", staged_live_bytes_);
   reg.add(scope, "segments_created", segments_created_);
-  if (segments_removed_ > 0) {
-    reg.add(scope, "segments_removed", segments_removed_);
-  }
-  if (stage_retries_ > 0) reg.add(scope, "stage_retries", stage_retries_);
-  if (drain_retries_ > 0) reg.add(scope, "drain_retries", drain_retries_);
-  if (unmapped_read_bytes_ > 0) {
-    reg.add(scope, "unmapped_read_bytes", unmapped_read_bytes_);
-  }
+  reg.add_nonzero(scope, "segments_removed", segments_removed_);
+  reg.add_nonzero(scope, "stage_retries", stage_stats_.retries);
+  reg.add_nonzero(scope, "drain_retries", drain_stats_.retries);
+  reg.add_nonzero(scope, "unmapped_read_bytes", unmapped_read_bytes_);
 }
 
 }  // namespace paramrio::stage

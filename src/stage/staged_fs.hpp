@@ -57,8 +57,6 @@ namespace paramrio::stage {
 /// staging tier alone).
 enum class DrainPolicy { kSync, kAsync, kLazy };
 
-const char* to_string(DrainPolicy policy);
-
 struct StagedFsParams {
   /// Seal a rank's current segment once its size reaches this; a single
   /// oversized record still lands whole (records never split).
@@ -131,8 +129,8 @@ class StagedFs final : public pfs::FileSystem {
   std::uint64_t drained_bytes() const { return drained_bytes_; }
   /// Payload bytes currently staged but not yet drained (drain backlog).
   std::uint64_t staged_live_bytes() const { return staged_live_bytes_; }
-  std::uint64_t stage_retries() const { return stage_retries_; }
-  std::uint64_t drain_retries() const { return drain_retries_; }
+  std::uint64_t stage_retries() const { return stage_stats_.retries; }
+  std::uint64_t drain_retries() const { return drain_stats_.retries; }
   /// Bytes served from neither tier (logical image only) — zero on any
   /// correctly seeded run; tests assert on it.
   std::uint64_t unmapped_read_bytes() const { return unmapped_read_bytes_; }
@@ -247,8 +245,8 @@ class StagedFs final : public pfs::FileSystem {
   std::uint64_t staged_bytes_ = 0;
   std::uint64_t drained_bytes_ = 0;
   std::uint64_t staged_live_bytes_ = 0;
-  std::uint64_t stage_retries_ = 0;
-  std::uint64_t drain_retries_ = 0;
+  fault::RetryStats stage_stats_;  ///< appends and tier reads (stage_retry)
+  fault::RetryStats drain_stats_;  ///< drain writes (drain_retry)
   std::uint64_t unmapped_read_bytes_ = 0;
   std::uint64_t segments_created_ = 0;
   std::uint64_t segments_removed_ = 0;

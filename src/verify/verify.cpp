@@ -168,25 +168,16 @@ void Report::export_to(obs::MetricsRegistry& registry,
                        const std::string& scope) const {
   std::uint64_t total = 0;
   for (const auto& [rule, c] : counts) {
-    if (c == 0) continue;
-    registry.add(scope, slug(rule), c);
+    registry.add_nonzero(scope, slug(rule), c);
     total += c;
   }
-  if (total > 0) registry.add(scope, "violations", total);
+  registry.add_nonzero(scope, "violations", total);
 }
 
 Verifier::Verifier(VerifierOptions options) : options_(options) {}
 
 Verifier::~Verifier() {
   if (g_verifier == this) detach();
-}
-
-void Verifier::reset() {
-  report_ = Report{};
-  engine_tag_ = nullptr;
-  comms_.clear();
-  files_.clear();
-  ranks_.clear();
 }
 
 void Verifier::record(Rule rule, std::string object, std::vector<int> ranks,

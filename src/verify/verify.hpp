@@ -122,8 +122,6 @@ class Verifier final : public sim::RunObserver {
   Verifier& operator=(const Verifier&) = delete;
 
   const Report& report() const { return report_; }
-  /// Drop accumulated violations and per-run tracking state.
-  void reset();
 
   // ---- mpi::Comm hooks --------------------------------------------------
 

@@ -31,6 +31,14 @@ single-thread
     second thread (std::thread/jthread, std::mutex/shared_mutex,
     std::condition_variable, std::atomic, pthread_create).  Suppress with
     `lint:allow(single-thread)`.
+
+retry-loop
+    Surviving a short or transient transfer is one loop,
+    fault::transfer in src/fault/retry.hpp: it resumes behind the landed
+    bytes, backs off on the virtual clock and gives up when the budget is
+    spent.  Under src/, a `catch (const TransientIoError&` outside
+    src/fault/retry.* is a hand-written second loop unless it says why it
+    is not one: suppress with `lint:allow(retry-loop)` and a reason.
 """
 
 import re
@@ -44,6 +52,9 @@ NONBLOCKING_CALL = re.compile(r"\.iwrite_at\s*\(")
 WAIT_CALL = re.compile(r"\bwait(?:_all)?\s*\(")
 DEFERRED_CALL = re.compile(r"\b(?:begin|end)_deferred\s*\(")
 DEFERRED_HEAP = re.compile(r"new\s+DeferredScope|make_unique\s*<\s*DeferredScope")
+TRANSIENT_CATCH = re.compile(
+    r"catch\s*\(\s*(?:const\s+)?(?:\w+::)*TransientIoError\b")
+RETRY_LOOP_HOME = {Path("src/fault/retry.hpp"), Path("src/fault/retry.cpp")}
 THREADING = re.compile(
     r"\bstd::(?:thread|jthread|mutex|shared_mutex|condition_variable|atomic)\b"
     r"|\bpthread_create\b")
@@ -154,6 +165,17 @@ def check_single_thread(path, lines, findings):
                 "simulator runs every rank as a fiber on one OS thread")
 
 
+def check_retry_loop(path, lines, findings):
+    if path.parts[0] != "src" or path in RETRY_LOOP_HOME:
+        return
+    for i, line in enumerate(lines):
+        if (TRANSIENT_CATCH.search(strip_comment(line))
+                and not allowed(lines, i, "retry-loop")):
+            findings.append(
+                f"{path}:{i + 1}: [retry-loop] TransientIoError caught "
+                "outside fault::transfer; route the transfer through it")
+
+
 def check_obs_span(findings):
     path = ROOT / OBS_SPAN_FILE
     lines = path.read_text().splitlines()
@@ -191,6 +213,7 @@ def main():
             check_missing_wait(rel, lines, findings)
             check_deferred_raii(rel, lines, findings)
             check_single_thread(rel, lines, findings)
+            check_retry_loop(rel, lines, findings)
     check_obs_span(findings)
 
     for f in findings:
