@@ -21,6 +21,10 @@
 //     generations CheckpointSeries calls committed, and diagnoses a
 //     malformed dump or index blob with a FormatError, as inspect_dump and
 //     the restart do.
+//   * Single-flight failures: when every reader races for one index build,
+//     subgrid decode or block fetch and the claimant fails, each reader
+//     re-runs the work itself: a torn marker or a malformed subgrid fails
+//     every reader alike, and a one-off fetch error fails only its claimant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -1067,6 +1071,174 @@ TEST(QueryIndex, BlobWithUnknownDumpFormatIsRejected) {
   std::vector<std::byte> blob = query::GenerationIndex{}.serialize();
   blob[16] = std::byte{9};  // after magic u32, version u32, gen u64
   EXPECT_THROW(query::GenerationIndex::deserialize(blob), FormatError);
+}
+
+// ---------------------------------------------------------------------------
+// Single-flight failure hand-off: every reader races for one piece of shared
+// work, and the reader that claimed it fails.  The failure releases the
+// claim and wakes the waiters; each re-checks, and the first to run claims
+// the work again.  Nothing else is handed over, and nobody is left blocked.
+// ---------------------------------------------------------------------------
+
+TEST(QuerySingleFlight, TornMarkerFailsEveryReader) {
+  platform::Testbed tb(platform::chiba_pvfs_ethernet(), kProcs);
+  query::Service svc(tb.fs(), kSeries, query::Service::Params{});
+  const std::string marker = enzo::marker_path(kSeries, 0);
+  std::vector<std::string> errors(kProcs);
+  ASSERT_NO_THROW(tb.runtime().run([&](mpi::Comm& c) {
+    dump_generation(c, Kind::kMpiIo, tb.fs());
+    if (c.rank() == 0) {
+      // Half a marker, as a crash in the middle of the commit leaves it.
+      std::vector<std::byte> half(enzo::kCommitMarkerBytes / 2);
+      tb.fs().store().read_at(marker, 0, half);
+      tb.fs().store().create(marker);
+      tb.fs().store().write_at(marker, 0, half);
+    }
+    c.barrier();
+    try {
+      svc.open_generation(0);
+    } catch (const IoError& e) {
+      errors[static_cast<std::size_t>(c.rank())] = e.what();
+    }
+  }));
+  for (std::size_t r = 0; r < errors.size(); ++r) {
+    EXPECT_NE(errors[r].find("torn commit marker " + marker),
+              std::string::npos)
+        << "rank " << r << ": '" << errors[r] << "'";
+  }
+  EXPECT_EQ(svc.index_builds(), 0u);
+}
+
+TEST(QuerySingleFlight, TruncatedHdf4SubgridFailsEveryReaderAlike) {
+  platform::Testbed tb(platform::chiba_pvfs_ethernet(), kProcs);
+  query::Service svc(tb.fs(), kSeries, query::Service::Params{});
+  const std::string base = enzo::generation_base(kSeries, 0);
+  std::string path;
+  std::vector<std::string> errors(kProcs);
+  ASSERT_NO_THROW(tb.runtime().run([&](mpi::Comm& c) {
+    dump_generation(c, Kind::kHdf4, tb.fs());
+    const query::GenerationIndex& ix = svc.open_generation(0);
+    amr::GridDescriptor sub;
+    for (const amr::GridDescriptor& g : ix.meta.hierarchy.grids()) {
+      if (g.level > 0) {
+        sub = g;
+        break;
+      }
+    }
+    ASSERT_GT(sub.level, 0);
+    if (c.rank() == 0) {
+      // Cut the subgrid's file inside its first record's header.
+      path = enzo::subgrid_file_name(base, sub.id);
+      std::vector<std::byte> bytes(8 + 8 + 3);
+      tb.fs().store().read_at(path, 0, bytes);
+      tb.fs().store().create(path);
+      tb.fs().store().write_at(path, 0, bytes);
+      tb.fs().drop_caches();
+    }
+    c.barrier();
+    errors[static_cast<std::size_t>(c.rank())] = format_error([&] {
+      svc.extract(0, {sub.id, amr::baryon_field_names()[0], {0, 0, 0},
+                      sub.dims});
+    });
+  }));
+  ASSERT_FALSE(path.empty());
+  EXPECT_NE(errors[0].find(path), std::string::npos) << errors[0];
+  EXPECT_NE(errors[0].find("offset 8"), std::string::npos) << errors[0];
+  for (std::size_t r = 1; r < errors.size(); ++r) {
+    EXPECT_EQ(errors[r], errors[0]) << "rank " << r;
+  }
+  EXPECT_EQ(svc.grid_decodes(), 0u);
+}
+
+/// Every rank extracts the full root field at once, with the faults in
+/// `inj` (if any) armed for the extract.
+struct SharedFetchSession {
+  std::vector<std::vector<float>> got;
+  std::vector<std::string> errors;
+  query::GenerationIndex index;
+  std::uint64_t demand_fetches = 0;
+  std::uint64_t fetched_bytes = 0;
+  std::uint64_t shared_waits = 0;
+};
+
+SharedFetchSession shared_fetch_session(fault::Injector* inj) {
+  platform::Testbed tb(platform::chiba_pvfs_ethernet(), kProcs);
+  if (inj != nullptr) {
+    inj->set_enabled(false);
+    tb.fs().attach_fault_hook(inj);
+  }
+  query::Service::Params qp;
+  qp.hints.ds_buffer_size = 4 * KiB;  // several blocks; retry stays off
+  query::Service svc(tb.fs(), kSeries, qp);
+  SharedFetchSession s;
+  s.got.resize(kProcs);
+  s.errors.resize(kProcs);
+  const query::SubVolumeRequest root{0, amr::baryon_field_names()[0],
+                                     {0, 0, 0}, {16, 16, 16}};
+  EXPECT_NO_THROW(tb.runtime().run([&](mpi::Comm& c) {
+    dump_generation(c, Kind::kMpiIo, tb.fs());
+    const query::GenerationIndex& ix = svc.open_generation(0);
+    c.barrier();
+    if (c.rank() == 0) {
+      s.index = ix;
+      if (inj != nullptr) inj->set_enabled(true);
+    }
+    c.barrier();
+    const auto me = static_cast<std::size_t>(c.rank());
+    try {
+      s.got[me] = svc.extract(0, root);
+    } catch (const IoError& e) {
+      s.errors[me] = e.what();
+    }
+  }));
+  s.demand_fetches = svc.demand_fetches();
+  s.fetched_bytes = svc.fetched_bytes();
+  s.shared_waits = svc.shared_fetch_waits();
+  const query::FieldExtent& e = s.index.field(0, root.field);
+  const std::vector<float> want = oracle_extract(tb.fs().store(), e, root);
+  for (std::size_t r = 0; r < s.got.size(); ++r) {
+    if (s.errors[r].empty()) {
+      EXPECT_EQ(s.got[r], want) << "rank " << r;
+    }
+  }
+  return s;
+}
+
+TEST(QuerySingleFlight, FailedSharedFetchFailsOnlyItsClaimant) {
+  const SharedFetchSession clean = shared_fetch_session(nullptr);
+  for (const std::string& err : clean.errors) EXPECT_EQ(err, "");
+
+  // The first read of the dump lands short, so the claimant yields with the
+  // block in flight and the other readers queue behind it; its resumed read
+  // then fails once, and with retry off the error reaches the claimant.
+  fault::FaultPlan plan;
+  fault::FaultSpec shorty;
+  shorty.kind = fault::FaultKind::kShortRead;
+  shorty.path_substr = enzo::generation_base(kSeries, 0);
+  shorty.match_writes = false;
+  shorty.max_faults = 1;
+  plan.specs.push_back(shorty);
+  fault::FaultSpec transient = shorty;
+  transient.kind = fault::FaultKind::kTransientError;
+  plan.specs.push_back(transient);
+  fault::Injector inj(plan);
+  const SharedFetchSession s = shared_fetch_session(&inj);
+  EXPECT_EQ(inj.counters().injected_total(), 2u);
+
+  const auto failed = std::count_if(
+      s.errors.begin(), s.errors.end(),
+      [](const std::string& err) { return !err.empty(); });
+  EXPECT_EQ(failed, 1);
+  for (const std::string& err : s.errors) {
+    if (!err.empty()) {
+      EXPECT_NE(err.find("injected EIO"), std::string::npos) << err;
+    }
+  }
+  // The others waited on the failed fetch, then one of them fetched the
+  // block again; only fetches that landed count.
+  EXPECT_GE(s.shared_waits, static_cast<std::uint64_t>(kProcs - 1));
+  EXPECT_EQ(s.demand_fetches, clean.demand_fetches);
+  EXPECT_EQ(s.fetched_bytes, clean.fetched_bytes);
 }
 
 }  // namespace
