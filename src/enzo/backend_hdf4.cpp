@@ -8,7 +8,6 @@
 #include "enzo/dump_common.hpp"
 #include "enzo/hierarchy_file.hpp"
 #include "hdf4/sd_file.hpp"
-#include "mpi/io/deferred_scope.hpp"
 #include "obs/profiler.hpp"
 
 namespace paramrio::enzo {
@@ -244,7 +243,7 @@ void Hdf4SerialBackend::write_dump(mpi::Comm& comm,
       // pre-I/O clock, so the other P-1 ranks start their subgrid files
       // while the top-grid file is still flushing; rank 0 settles below.
       sim::Proc& proc = sim::current_proc();
-      mpi::io::DeferredScope defer(proc);
+      sim::DeferredScope defer(proc);
       OBS_SPAN("hdf4.topgrid_write", sim::TimeCategory::kIo);
       write_top();
       top_completion = defer.end();
@@ -257,13 +256,10 @@ void Hdf4SerialBackend::write_dump(mpi::Comm& comm,
     OBS_SPAN("hdf4.barrier", sim::TimeCategory::kComm);
     comm.barrier();
   }
-  if (top_completion >= 0.0 && sim::in_simulation()) {
+  if (top_completion >= 0.0) {
     // Rank 0's in-flight top-grid write completes here; the barrier wait
     // hid part (often all) of it.
-    obs::record_wait(obs::WaitKind::kSettleWait,
-                     sim::current_proc().now(), top_completion);
-    sim::current_proc().clock_at_least(top_completion,
-                                       sim::TimeCategory::kIo);
+    obs::settle_to(top_completion, obs::WaitKind::kSettleWait);
   }
 
   // ---- subgrids: each processor writes its own files, no communication ---

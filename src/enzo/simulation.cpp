@@ -77,18 +77,6 @@ void EnzoSimulation::fill_block_fields() {
   charge_compute(state_.my_block.cells());
 }
 
-void EnzoSimulation::fill_owned_subgrids() {
-  state_.my_subgrids.clear();
-  for (const amr::GridDescriptor& g : state_.hierarchy.grids()) {
-    if (g.level == 0 || g.owner != comm_.rank()) continue;
-    amr::Grid grid;
-    grid.desc = g;
-    universe_.fill_fields(grid, state_.time);
-    charge_compute(g.cell_count());
-    state_.my_subgrids.push_back(std::move(grid));
-  }
-}
-
 void EnzoSimulation::rebuild_refinement() {
   state_.hierarchy.clear_subgrids();
   state_.my_subgrids.clear();

@@ -36,7 +36,6 @@ class EnzoSimulation {
 
  private:
   void fill_block_fields();
-  void fill_owned_subgrids();
   void form_stars();
   void charge_compute(std::uint64_t cells);
 

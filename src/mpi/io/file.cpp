@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <tuple>
 
-#include "mpi/io/deferred_scope.hpp"
 #include "obs/profiler.hpp"
 #include "verify/verify.hpp"
 
@@ -75,11 +74,8 @@ void File::close() {
   drop_prefetch();
   // In-flight independent ops the caller never waited on finish here; no
   // saved-time credit (wait() is where hiding is accounted), just the stall.
-  if (sim::in_simulation() && inflight_horizon_ > 0.0) {
-    obs::record_wait(obs::WaitKind::kSettleWait,
-                     sim::current_proc().now(), inflight_horizon_);
-    sim::current_proc().clock_at_least(inflight_horizon_,
-                                       sim::TimeCategory::kIo);
+  if (inflight_horizon_ > 0.0) {
+    obs::settle_to(inflight_horizon_, obs::WaitKind::kSettleWait);
   }
   if (verify::Verifier* v = verify::verifier()) {
     v->on_file_close(path_, comm_.rank(), leaked_requests, leaked_prefetches,
@@ -522,8 +518,7 @@ void File::settle_deferred(double issued, double completion) {
   if (hidden > 0.0) stats_.overlap_saved_time += hidden;
   // Whatever the overlap did not hide is a stall waiting for the in-flight
   // window/request to land — the deferred-settle wait-for edge.
-  obs::record_wait(obs::WaitKind::kSettleWait, now_before, completion);
-  proc.clock_at_least(completion, sim::TimeCategory::kIo);
+  obs::settle_to(completion, obs::WaitKind::kSettleWait);
   if (verify::Verifier* v = verify::verifier()) {
     v->on_file_settle(path_, comm_.rank(), issued, completion,
                       hidden > 0.0 ? hidden : 0.0, now_before, proc.now());
@@ -536,7 +531,7 @@ std::pair<double, double> File::in_flight(const char* span,
   const double issued = proc.now();
   double completion = 0.0;
   {
-    DeferredScope defer(proc);
+    sim::DeferredScope defer(proc);
     {
       // Closed on the shadow clock, so the span ends when the I/O lands.
       OBS_SPAN(span, sim::TimeCategory::kIo);

@@ -211,4 +211,12 @@ void record_wait(WaitKind kind, double t_start, double t_end) {
   }
 }
 
+void settle_to(double t, WaitKind kind) {
+  if (!sim::in_simulation()) return;
+  sim::Proc& proc = sim::current_proc();
+  if (t <= proc.now()) return;
+  record_wait(kind, proc.now(), t);
+  proc.clock_at_least(t, sim::TimeCategory::kIo);
+}
+
 }  // namespace paramrio::obs

@@ -248,6 +248,12 @@ void latency_sample(const std::string& name, double seconds);
 /// in deferred mode).
 void record_wait(WaitKind kind, double t_start, double t_end);
 
+/// Wait for something that lands at virtual time `t` (in-flight I/O, a
+/// staging drain, a result another proc produced): record [now, t) as a
+/// `kind` wait, then move the calling proc's clock to `t` as I/O time.
+/// Does nothing outside a simulation or when `t` is not ahead of the clock.
+void settle_to(double t, WaitKind kind);
+
 #define PARAMRIO_OBS_CONCAT2(a, b) a##b
 #define PARAMRIO_OBS_CONCAT(a, b) PARAMRIO_OBS_CONCAT2(a, b)
 

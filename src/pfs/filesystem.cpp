@@ -1,6 +1,7 @@
 #include "pfs/filesystem.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "fault/fault.hpp"
 #include "obs/profiler.hpp"
@@ -53,8 +54,8 @@ std::uint64_t FileSystem::size(int fd) const {
 std::uint64_t FileSystem::read_at(int fd, std::uint64_t offset,
                                   std::span<std::byte> out) {
   OpenFile& f = descriptor_mut(fd, "read_at");
-  std::uint64_t file_size = store_.size(f.path);
-  if (offset + out.size() > file_size) {
+  const std::uint64_t file_size = store_.size(f.path);
+  if (offset > file_size || out.size() > file_size - offset) {
     throw IoError("read_at(" + f.path + ", fd " + std::to_string(fd) +
                   "): range [" + std::to_string(offset) + ", " +
                   std::to_string(offset + out.size()) + ") past EOF " +
@@ -245,12 +246,7 @@ const FileSystem::OpenFile& FileSystem::descriptor(int fd,
 }
 
 FileSystem::OpenFile& FileSystem::descriptor_mut(int fd, const char* op) {
-  auto it = open_files_.find(fd);
-  if (it == open_files_.end()) {
-    throw IoError(std::string(op) + ": bad file descriptor " +
-                  std::to_string(fd) + " on " + name());
-  }
-  return it->second;
+  return const_cast<OpenFile&>(std::as_const(*this).descriptor(fd, op));
 }
 
 RunMap<bool>& FileSystem::cache_of(OpenFile& f) {

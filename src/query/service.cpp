@@ -6,7 +6,6 @@
 
 #include "enzo/checkpoint.hpp"
 #include "fault/retry.hpp"
-#include "mpi/io/deferred_scope.hpp"
 #include "obs/profiler.hpp"
 #include "sim/engine.hpp"
 
@@ -45,109 +44,121 @@ const GenerationIndex& Service::open_generation(std::uint64_t gen) {
   return open_state(gen).index;
 }
 
-Service::GenState& Service::open_state(std::uint64_t gen) {
+// The single-flight behind every shared wait in the service: a
+// generation's index build, a step file's metadata decode, a cache block's
+// fetch.  Until `ready()` holds a result, the calling proc claims `key` and
+// runs `work`, unless another proc already holds the claim: then it joins
+// the key's waiters (`on_wait` counts it), blocks until the claimant is
+// done, recorded as a server-queue wait, and checks again.  `work`
+// publishes what it made where `ready()` looks, and may also return it.
+// Whether it returns or throws, the claim is then dropped and the waiters
+// are woken in arrival order.  A failure hands over nothing but the claim:
+// the first waiter to run after it does the work again.
+template <typename R, typename Key, typename Ready, typename Work,
+          typename OnWait>
+R Service::single_flight(Flights<Key>& flights, const Key& key, Ready ready,
+                         Work work, OnWait on_wait) {
   sim::Proc& proc = sim::current_proc();
-  GenState& st = gens_[gen];
-  while (st.state == GenState::S::kBuilding) {
-    st.waiters.push_back(proc.global_rank());
-    double t0 = proc.now();
-    proc.block();
-    obs::record_wait(obs::WaitKind::kServerQueue, t0, proc.now());
-  }
-  if (st.state == GenState::S::kReady) {
-    // The index exists from its ready time on: a reader that waited for it,
-    // or merely runs behind the builder's clock, starts there.
-    settle_to(st.ready_time);
-    return st;
-  }
-  st.state = GenState::S::kBuilding;
-  try {
-    require_committed(gen);
-    const std::string gbase = enzo::generation_base(series_base_, gen);
-    const std::vector<std::byte>* blob =
-        catalog_ != nullptr ? catalog_->series_index(series_base_, gen)
-                            : nullptr;
-    if (blob != nullptr) {
-      st.index = GenerationIndex::deserialize(*blob);
-      st.decoder.emplace(gbase, st.index.format);
-      ++index_loads_;
-    } else {
-      OBS_SPAN("query.open", sim::TimeCategory::kIo);
-      st.decoder.emplace(gbase, enzo::detect_dump_format(fs_, gbase));
-      st.index = build_head_index(fs_, *st.decoder, gen);
-      ++index_builds_;
-      if (catalog_ != nullptr) {
-        catalog_->put_series_index(series_base_, gen, st.index.serialize());
-      }
+  for (;;) {
+    if (std::optional<R> r = ready()) return *std::move(r);
+    if (auto in = flights.find(key); in != flights.end()) {
+      in->second.push_back(proc.global_rank());
+      on_wait();
+      const double t0 = proc.now();
+      proc.block();
+      obs::record_wait(obs::WaitKind::kServerQueue, t0, proc.now());
+      continue;
     }
-  } catch (...) {
-    st.state = GenState::S::kEmpty;
-    st.decoder.reset();
-    wake(st.waiters);
-    throw;
+    flights.emplace(key, std::vector<int>{});
+    struct Release {
+      Flights<Key>& flights;
+      const Key& key;
+      ~Release() {
+        auto node = flights.extract(key);
+        sim::Engine& eng = sim::current_proc().engine();
+        for (int r : node.mapped()) eng.signal(r);
+      }
+    } release{flights, key};
+    if (std::optional<R> r = work()) return *std::move(r);
   }
-  st.state = GenState::S::kReady;
-  st.ready_time = proc.now();
-  wake(st.waiters);
-  return st;
+}
+
+Service::GenState& Service::open_state(std::uint64_t gen) {
+  return *single_flight<GenState*>(
+      opening_, gen,
+      [&]() -> std::optional<GenState*> {
+        auto it = gens_.find(gen);
+        if (it == gens_.end()) return std::nullopt;
+        // The index exists from its ready time on: a reader that waited
+        // for it, or merely runs behind the builder's clock, starts there.
+        obs::settle_to(it->second.ready_time, obs::WaitKind::kSettleWait);
+        return &it->second;
+      },
+      [&]() -> std::optional<GenState*> {
+        require_committed(gen);
+        GenState st;
+        const std::string gbase = enzo::generation_base(series_base_, gen);
+        const std::vector<std::byte>* blob =
+            catalog_ != nullptr ? catalog_->series_index(series_base_, gen)
+                                : nullptr;
+        if (blob != nullptr) {
+          st.index = GenerationIndex::deserialize(*blob);
+          st.decoder.emplace(gbase, st.index.format);
+          ++index_loads_;
+        } else {
+          OBS_SPAN("query.open", sim::TimeCategory::kIo);
+          st.decoder.emplace(gbase, enzo::detect_dump_format(fs_, gbase));
+          st.index = build_head_index(fs_, *st.decoder, gen);
+          ++index_builds_;
+          if (catalog_ != nullptr) {
+            catalog_->put_series_index(series_base_, gen,
+                                       st.index.serialize());
+          }
+        }
+        st.ready_time = sim::current_proc().now();
+        return &gens_.emplace(gen, std::move(st)).first->second;
+      },
+      [] {});
 }
 
 const FieldExtent& Service::grid_field(GenState& st, std::uint64_t grid_id,
                                        const std::string& name) {
-  sim::Proc& proc = sim::current_proc();
   GenerationIndex& ix = st.index;
-  for (;;) {
-    if (ix.fields.count(grid_id) > 0 || !ix.meta.hierarchy.has(grid_id)) {
-      auto at = st.decoded_at.find(grid_id);
-      if (at != st.decoded_at.end()) settle_to(at->second);
-      return ix.field(grid_id, name);  // IoError for an unknown grid/field
+  // Decoded, or not in the hierarchy (ix.field then names what is
+  // missing); usable from the time its decode landed.
+  const auto decoded = [&]() -> std::optional<const FieldExtent*> {
+    if (ix.fields.count(grid_id) == 0 && ix.meta.hierarchy.has(grid_id)) {
+      return std::nullopt;
     }
-    const std::string path = st.decoder->step_path(grid_id);
-    auto in = st.decoding.find(path);
-    if (in != st.decoding.end()) {
-      // Another reader is decoding this file: wait for its result instead
-      // of reading the same metadata again.
-      in->second.push_back(proc.global_rank());
-      const double t0 = proc.now();
-      proc.block();
-      obs::record_wait(obs::WaitKind::kServerQueue, t0, proc.now());
-      continue;  // re-check: decoded, or the decode failed and we take over
+    auto at = st.decoded_at.find(grid_id);
+    if (at != st.decoded_at.end()) {
+      obs::settle_to(at->second, obs::WaitKind::kSettleWait);
     }
-    st.decoding.emplace(path, std::vector<int>{});
-    std::vector<std::uint64_t> added;
-    try {
-      OBS_SPAN("query.decode", sim::TimeCategory::kIo);
-      OpenPath& op = open_path(path);
-      added = st.decoder->step(
-          ix, grid_id, op.size,
-          [&](std::uint64_t off, std::span<std::byte> out) {
-            timed_read(op.fd, off, out);
-          });
-    } catch (...) {
-      auto node = st.decoding.extract(path);
-      wake(node.mapped());
-      throw;
-    }
-    for (std::uint64_t id : added) st.decoded_at[id] = proc.now();
-    grid_decodes_ += added.size();
-    auto node = st.decoding.extract(path);
-    wake(node.mapped());
-  }
-}
-
-void Service::settle_to(double ready) {
-  sim::Proc& proc = sim::current_proc();
-  const double t0 = proc.now();
-  if (ready <= t0) return;
-  proc.clock_at_least(ready, sim::TimeCategory::kIo);
-  obs::record_wait(obs::WaitKind::kSettleWait, t0, ready);
-}
-
-void Service::wake(std::vector<int>& waiters) {
-  if (waiters.empty()) return;
-  sim::Engine& eng = sim::current_proc().engine();
-  for (int r : waiters) eng.signal(r);
-  waiters.clear();
+    return &ix.field(grid_id, name);  // IoError for an unknown grid/field
+  };
+  if (std::optional<const FieldExtent*> e = decoded()) return **e;
+  // A reader whose step file another reader is decoding waits for that
+  // result instead of reading the same metadata again.
+  const std::string path = st.decoder->step_path(grid_id);
+  return *single_flight<const FieldExtent*>(
+      st.decoding, path, decoded,
+      [&]() -> std::optional<const FieldExtent*> {
+        std::vector<std::uint64_t> added;
+        {
+          OBS_SPAN("query.decode", sim::TimeCategory::kIo);
+          OpenPath& op = open_path(path);
+          added = st.decoder->step(
+              ix, grid_id, op.size,
+              [&](std::uint64_t off, std::span<std::byte> out) {
+                timed_read(op.fd, off, out);
+              });
+        }
+        const double now = sim::current_proc().now();
+        for (std::uint64_t id : added) st.decoded_at[id] = now;
+        grid_decodes_ += added.size();
+        return std::nullopt;  // check again: a step may stop short of it
+      },
+      [] {});
 }
 
 Service::OpenPath& Service::open_path(const std::string& path) {
@@ -191,45 +202,32 @@ SharedCache::BlockData Service::cached_block(const std::string& path,
                                              std::uint64_t block_off,
                                              std::uint64_t len,
                                              ExtractPlan* plan) {
-  sim::Proc& proc = sim::current_proc();
-  SharedCache::Key key{path, block_off};
-  for (;;) {
-    if (auto found = cache_.lookup(key)) {
-      if (plan != nullptr) ++plan->cache_hits;
-      // A prefetch may publish a block before its shadow-clock fetch
-      // completes; pay only the un-hidden remainder.
-      settle_to(found->ready_time);
-      return found->data;
-    }
-    auto in = inflight_.find(key);
-    if (in != inflight_.end()) {
-      // Another reader is already fetching this block: wait for its
-      // result instead of duplicating the physical read.
-      in->second.push_back(proc.global_rank());
-      ++shared_fetch_waits_;
-      if (plan != nullptr) ++plan->shared_waits;
-      double t0 = proc.now();
-      proc.block();
-      obs::record_wait(obs::WaitKind::kServerQueue, t0, proc.now());
-      continue;  // re-check: hit, or fetch failed and we take over
-    }
-    inflight_.emplace(key, std::vector<int>{});
-    SharedCache::BlockData data;
-    try {
-      data = std::make_shared<const std::vector<std::byte>>(
-          fetch_block(path, block_off, len));
-    } catch (...) {
-      auto node = inflight_.extract(key);
-      wake(node.mapped());
-      throw;
-    }
-    ++demand_fetches_;
-    if (plan != nullptr) ++plan->cache_misses;
-    cache_.insert(key, data, proc.now());
-    auto node = inflight_.extract(key);
-    wake(node.mapped());
-    return data;
-  }
+  const SharedCache::Key key{path, block_off};
+  return single_flight<SharedCache::BlockData>(
+      inflight_, key,
+      [&]() -> std::optional<SharedCache::BlockData> {
+        std::optional<SharedCache::Found> found = cache_.lookup(key);
+        if (!found) return std::nullopt;
+        if (plan != nullptr) ++plan->cache_hits;
+        // A prefetch may publish a block before its shadow-clock fetch
+        // completes; pay only the un-hidden remainder.
+        obs::settle_to(found->ready_time, obs::WaitKind::kSettleWait);
+        return found->data;
+      },
+      [&]() -> std::optional<SharedCache::BlockData> {
+        auto data = std::make_shared<const std::vector<std::byte>>(
+            fetch_block(path, block_off, len));
+        ++demand_fetches_;
+        if (plan != nullptr) ++plan->cache_misses;
+        cache_.insert(key, data, sim::current_proc().now());
+        return data;
+      },
+      [&] {
+        // Another reader is fetching this block: its result is ours too,
+        // so the physical read is not duplicated.
+        ++shared_fetch_waits_;
+        if (plan != nullptr) ++plan->shared_waits;
+      });
 }
 
 void Service::execute_runs(const std::string& path,
@@ -284,8 +282,7 @@ void Service::execute_runs(const std::string& path,
         SharedCache::Key nkey{path, noff};
         if (!cache_.contains(nkey) &&
             inflight_.find(nkey) == inflight_.end()) {
-          sim::Proc& proc = sim::current_proc();
-          mpi::io::DeferredScope ds(proc);
+          sim::DeferredScope ds(sim::current_proc());
           auto bytes = fetch_block(path, noff, std::min(bs, op.size - noff));
           double t_done = ds.end();
           cache_.insert(

@@ -24,11 +24,11 @@
 //   * shared cache: blocks live in one SharedCache serving every reader
 //     proc; a hot region costs ~1 physical fetch instead of N.  A reader
 //     that misses while another proc is already fetching the same block
-//     *blocks* on it (Proc::block/Engine::signal) rather than duplicating
-//     the fetch, so with ample capacity the physical fetch count equals
-//     the distinct-block count regardless of schedule — a determinism
-//     lever the tests assert on.  Hits pay a memory-bandwidth copy
-//     ("query.cache", CPU);
+//     *blocks* on it rather than duplicating the fetch (the single-flight
+//     that also serves index builds and subgrid decodes), so with ample
+//     capacity the physical fetch count equals the distinct-block count
+//     regardless of schedule — a determinism lever the tests assert on.
+//     Hits pay a memory-bandwidth copy ("query.cache", CPU);
 //   * prefetch overlap: with Hints::overlap, the next planned block is
 //     fetched under the PR 5 shadow-clock deferral while the current one
 //     is consumed; a reader arriving before the prefetch completes settles
@@ -169,17 +169,20 @@ class Service {
     std::uint64_t out_off = 0;
   };
 
+  /// Keys whose work a proc has claimed -> the global ranks waiting for
+  /// it, in arrival order (see single_flight).
+  template <typename Key>
+  using Flights = std::map<Key, std::vector<int>>;
+
+  /// An opened generation.
   struct GenState {
-    enum class S { kEmpty, kBuilding, kReady };
-    S state = S::kEmpty;
     GenerationIndex index;
-    double ready_time = 0.0;   ///< the builder's clock when it finished
-    std::vector<int> waiters;  ///< global ranks blocked on the build
+    double ready_time = 0.0;  ///< the builder's clock when it finished
     /// Adds the subgrids the head leaves out, one step at a time.
     std::optional<enzo::DumpDecoder> decoder;
-    /// Step files with a decode in flight -> global ranks waiting on it:
-    /// one scan per HDF4 subgrid file, one HDF5 chain walker at a time.
-    std::map<std::string, std::vector<int>> decoding;
+    /// Step files with a decode in flight: one scan per HDF4 subgrid file,
+    /// one HDF5 chain walker at a time.
+    Flights<std::string> decoding;
     /// Grid id -> the decoding proc's clock when the grid was added.
     std::map<std::uint64_t, double> decoded_at;
   };
@@ -188,6 +191,14 @@ class Service {
     int fd = -1;
     std::uint64_t size = 0;
   };
+
+  /// Until `ready()` holds a result, run `work` for `key` unless another
+  /// proc already is; otherwise call `on_wait`, block until it is done and
+  /// check again (see service.cpp).
+  template <typename R, typename Key, typename Ready, typename Work,
+            typename OnWait>
+  R single_flight(Flights<Key>& flights, const Key& key, Ready ready,
+                  Work work, OnWait on_wait);
 
   /// open_generation's state for `gen`, built (or waited for) if needed.
   GenState& open_state(std::uint64_t gen);
@@ -227,12 +238,7 @@ class Service {
   /// (within hints.retry) transient errors.
   void timed_read(int fd, std::uint64_t offset, std::span<std::byte> out);
 
-  /// Move the calling proc's clock forward to `ready` (when something it is
-  /// about to use became available), recorded as a settle wait.
-  void settle_to(double ready);
-
   void charge_copy(std::uint64_t bytes);
-  void wake(std::vector<int>& waiters);
 
   pfs::FileSystem& fs_;
   std::string series_base_;
@@ -240,10 +246,10 @@ class Service {
   mdms::Catalog* catalog_ = nullptr;
 
   SharedCache cache_;
-  std::map<std::uint64_t, GenState> gens_;
+  std::map<std::uint64_t, GenState> gens_;  ///< generations opened so far
+  Flights<std::uint64_t> opening_;          ///< generations being opened
   std::map<std::string, OpenPath> paths_;
-  /// Blocks with a fetch in flight: key -> global ranks waiting on it.
-  std::map<SharedCache::Key, std::vector<int>> inflight_;
+  Flights<SharedCache::Key> inflight_;  ///< blocks being fetched
 
   std::uint64_t extracts_ = 0;
   std::uint64_t particle_queries_ = 0;

@@ -161,7 +161,6 @@ bool asm_switch() {
 
 std::uint64_t Engine::Options::effective_perturb_seed() const {
   if (perturb_seed != 0) return perturb_seed;
-  if (!env_perturb) return 0;
   const char* env = std::getenv("PARAMRIO_SCHED_SEED");
   if (env == nullptr || *env == '\0') return 0;
   char* end = nullptr;

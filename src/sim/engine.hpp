@@ -170,6 +170,8 @@ class Proc {
   // end_deferred() returns the operation's virtual completion time; the
   // issuer later settles it with clock_at_least(completion, cat), which
   // charges exactly the stall that was not hidden behind other work.
+  // Outside the engine, code enters and leaves deferred mode through
+  // DeferredScope (below) and settles through obs::settle_to.
 
   /// Enter deferred mode (must not already be deferred).  The shadow clock
   /// starts at the real clock.
@@ -223,6 +225,31 @@ class Proc {
   Rng rng_;
 };
 
+/// RAII over a proc's deferred mode: the work done inside the scope runs on
+/// the shadow clock.  end() leaves deferred mode and returns the virtual
+/// time the work completes, which the issuer later settles to.  If the
+/// scope unwinds first (a retry budget spent mid-flight), the destructor
+/// leaves deferred mode, so the proc is not stuck on the shadow clock.
+class DeferredScope {
+ public:
+  explicit DeferredScope(Proc& proc) : proc_(proc) { proc_.begin_deferred(); }
+  ~DeferredScope() {
+    if (!ended_) proc_.end_deferred();
+  }
+  DeferredScope(const DeferredScope&) = delete;
+  DeferredScope& operator=(const DeferredScope&) = delete;
+
+  /// Leave deferred mode; returns the completion time.
+  double end() {
+    ended_ = true;
+    return proc_.end_deferred();
+  }
+
+ private:
+  Proc& proc_;
+  bool ended_ = false;
+};
+
 /// Passive observer of engine-level events, for the verify layer (the
 /// engine itself stays dependency-free).  Install with set_run_observer()
 /// outside a run; all callbacks arrive serialised, from the proc holding
@@ -266,13 +293,9 @@ class Engine {
     /// supplies the seed (so whole test suites can run perturbed).
     std::uint64_t perturb_seed = 0;
 
-    /// When false, PARAMRIO_SCHED_SEED is ignored; tests that assert the
-    /// classic lowest-rank tie order pin it with this.
-    bool env_perturb = true;
-
     /// The seed the engine will actually use: `perturb_seed` when nonzero,
-    /// else the PARAMRIO_SCHED_SEED environment variable (0 on absence, a
-    /// malformed value, or `env_perturb` false).
+    /// else the PARAMRIO_SCHED_SEED environment variable (0 on absence or
+    /// a malformed value).
     std::uint64_t effective_perturb_seed() const;
   };
 

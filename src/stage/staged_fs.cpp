@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "base/byte_io.hpp"
@@ -21,29 +22,6 @@ constexpr std::uint64_t kHeaderBytes = 4 + 4 + 4 + 8 + 8;
 std::string segment_name(int rank, int no) {
   return ".stage/r" + std::to_string(rank) + "/seg" + std::to_string(no);
 }
-
-/// RAII over Proc's shadow-clock deferral — the sim-level analogue of
-/// mpi::io::DeferredScope, kept local so stage/ does not depend on mpi/.
-class DeferredRegion {
- public:
-  explicit DeferredRegion(sim::Proc& proc) : proc_(proc) {
-    proc_.begin_deferred();
-  }
-  ~DeferredRegion() {
-    if (!done_) proc_.end_deferred();
-  }
-  DeferredRegion(const DeferredRegion&) = delete;
-  DeferredRegion& operator=(const DeferredRegion&) = delete;
-  /// Leave deferral; returns the shadow-clock completion horizon.
-  double finish() {
-    done_ = true;
-    return proc_.end_deferred();
-  }
-
- private:
-  sim::Proc& proc_;
-  bool done_ = false;
-};
 
 /// RAII over background-I/O marking for the duration of a drain.
 class BackgroundRegion {
@@ -494,9 +472,9 @@ void StagedFs::drain_mine(DrainPolicy policy) {
   // Async: the bytes move now (content determinism is preserved — the
   // engine still serialises execution) but the time accrues on the shadow
   // clock; drain_settle charges whatever was not hidden behind later work.
-  DeferredRegion defer(proc);
+  sim::DeferredScope defer(proc);
   migrate();
-  const double horizon = defer.finish();
+  const double horizon = defer.end();
   double& h = drain_horizon_[rank];
   h = std::max(h, horizon);
 }
@@ -508,10 +486,7 @@ void StagedFs::drain_settle() {
   if (it == drain_horizon_.end()) return;
   const double horizon = it->second;
   drain_horizon_.erase(it);
-  if (horizon > proc.now()) {
-    obs::record_wait(obs::WaitKind::kDrainWait, proc.now(), horizon);
-    proc.clock_at_least(horizon, sim::TimeCategory::kIo);
-  }
+  obs::settle_to(horizon, obs::WaitKind::kDrainWait);
 }
 
 void StagedFs::flush_untimed() {
@@ -588,7 +563,13 @@ void StagedFs::recover() {
       const std::uint64_t offset = r.u64();
       const std::uint64_t payload_len = r.u64();
       if (kind > static_cast<std::uint32_t>(RecordKind::kTruncate)) break;
-      if (kHeaderBytes + path_len + payload_len > raw.size() - pos) break;
+      // Lengths past the end of the segment, or a logical range past the
+      // largest offset, are as torn as a cut tail.
+      const std::uint64_t left = raw.size() - pos - kHeaderBytes;
+      if (path_len > left || payload_len > left - path_len ||
+          payload_len > std::numeric_limits<std::uint64_t>::max() - offset) {
+        break;
+      }
       const std::string path(
           reinterpret_cast<const char*>(raw.data() + pos + kHeaderBytes),
           path_len);

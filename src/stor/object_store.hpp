@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <span>
 #include <string>
@@ -36,10 +37,16 @@ class ObjectStore {
   }
 
   /// Write, extending with zero bytes if offset is past the current end.
+  /// Throws IoError if the range runs past the largest offset.
   void write_at(const std::string& name, std::uint64_t offset,
                 std::span<const std::byte> data) {
     auto& obj = find_mut(name);
-    std::uint64_t end = offset + data.size();
+    if (data.size() > std::numeric_limits<std::uint64_t>::max() - offset) {
+      throw IoError("write past the offset range of " + name + ": offset " +
+                    std::to_string(offset) + " + " +
+                    std::to_string(data.size()));
+    }
+    const std::uint64_t end = offset + data.size();
     if (end > obj.size()) obj.resize(end);
     std::copy(data.begin(), data.end(),
               obj.begin() + static_cast<std::ptrdiff_t>(offset));
@@ -49,7 +56,7 @@ class ObjectStore {
   void read_at(const std::string& name, std::uint64_t offset,
                std::span<std::byte> out) const {
     const auto& obj = find(name);
-    if (offset + out.size() > obj.size()) {
+    if (offset > obj.size() || out.size() > obj.size() - offset) {
       throw IoError("read past end of " + name + ": offset " +
                     std::to_string(offset) + " + " +
                     std::to_string(out.size()) + " > " +

@@ -9,6 +9,12 @@ namespace paramrio::verify {
 
 namespace {
 
+/// At most this many violations of each rule are materialised (counts in
+/// Report::counts stay exact).
+constexpr std::uint64_t kMaxViolationsPerRule = 16;
+/// Slack for floating-point time comparisons (overlap accounting).
+constexpr double kTimeEpsilon = 1e-9;
+
 Verifier* g_verifier = nullptr;
 
 std::string join_ranks(const std::vector<int>& ranks) {
@@ -68,34 +74,10 @@ const char* to_string(Rule rule) {
   return "?";
 }
 
-const char* slug(Rule rule) {
-  switch (rule) {
-    case Rule::kCollectiveMismatch:
-      return "collective_mismatch";
-    case Rule::kRootDivergence:
-      return "root_divergence";
-    case Rule::kHintDivergence:
-      return "hint_divergence";
-    case Rule::kViewDivergence:
-      return "view_divergence";
-    case Rule::kMissingWait:
-      return "missing_wait";
-    case Rule::kUnpairedSplit:
-      return "unpaired_split";
-    case Rule::kUnsettledDeferred:
-      return "unsettled_deferred";
-    case Rule::kPostCloseIo:
-      return "post_close_io";
-    case Rule::kPrefetchLeak:
-      return "prefetch_leak";
-    case Rule::kClockRegression:
-      return "clock_regression";
-    case Rule::kOverlapAccounting:
-      return "overlap_accounting";
-    case Rule::kDeadlock:
-      return "deadlock";
-  }
-  return "unknown";
+std::string slug(Rule rule) {
+  std::string s = to_string(rule);
+  std::replace(s.begin(), s.end(), '-', '_');
+  return s;
 }
 
 Severity severity_of(Rule rule) {
@@ -174,8 +156,6 @@ void Report::export_to(obs::MetricsRegistry& registry,
   registry.add_nonzero(scope, "violations", total);
 }
 
-Verifier::Verifier(VerifierOptions options) : options_(options) {}
-
 Verifier::~Verifier() {
   if (g_verifier == this) detach();
 }
@@ -186,7 +166,7 @@ void Verifier::record(Rule rule, std::string object, std::vector<int> ranks,
   ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
   std::uint64_t& n = report_.counts[rule];
   ++n;
-  if (n > options_.max_violations_per_rule) return;
+  if (n > kMaxViolationsPerRule) return;
   Violation v;
   v.severity = severity_of(rule);
   v.rule = rule;
@@ -431,13 +411,13 @@ void Verifier::on_file_settle(const std::string& path, int rank, double issued,
   const double duration = completion > issued ? completion - issued : 0.0;
   const std::string object =
       g != nullptr ? file_label(path, *g) : "file:" + path;
-  if (credited > duration + options_.epsilon) {
+  if (credited > duration + kTimeEpsilon) {
     record(Rule::kOverlapAccounting, object, {rank}, -1,
            "settle credited " + obs::format_double(credited) +
                "s of overlap for an operation in flight only " +
                obs::format_double(duration) + "s");
   }
-  if (now_after + options_.epsilon < now_before) {
+  if (now_after + kTimeEpsilon < now_before) {
     record(Rule::kClockRegression, object, {rank}, -1,
            "settle rewound the real clock: " + obs::format_double(now_before) +
                " -> " + obs::format_double(now_after));
@@ -473,7 +453,7 @@ void Verifier::on_file_close(const std::string& path, int rank,
   if (g != nullptr) {
     const std::size_t r = static_cast<std::size_t>(rank);
     if (r < g->device_time.size() &&
-        overlap_saved_time > g->device_time[r] + options_.epsilon) {
+        overlap_saved_time > g->device_time[r] + kTimeEpsilon) {
       record(Rule::kOverlapAccounting, object, {rank}, -1,
              "overlap_saved_time " + obs::format_double(overlap_saved_time) +
                  "s exceeds total deferred device time " +

@@ -63,8 +63,9 @@ enum class Rule : std::uint8_t {
 const char* to_string(Severity severity);
 const char* to_string(Rule rule);
 
-/// Registry/JSON-friendly slug ("collective_mismatch").
-const char* slug(Rule rule);
+/// Registry/JSON-friendly slug: to_string with '_' for '-'
+/// ("collective_mismatch").
+std::string slug(Rule rule);
 
 /// Built-in severity of each rule (prefetch leaks are lints, everything
 /// else errors).
@@ -102,20 +103,12 @@ struct Report {
                  const std::string& scope = "verify") const;
 };
 
-struct VerifierOptions {
-  /// At most this many violations of each rule are materialised (counts in
-  /// Report::counts stay exact).
-  std::uint64_t max_violations_per_rule = 16;
-  /// Slack for floating-point time comparisons (overlap accounting).
-  double epsilon = 1e-9;
-};
-
 /// The verifier.  Construct, attach() it, run the program under test, then
 /// inspect report().  Hooks are invoked by the mpi layer only while a
 /// verifier is attached; all hooks arrive serialised by the engine.
 class Verifier final : public sim::RunObserver {
  public:
-  explicit Verifier(VerifierOptions options = {});
+  Verifier() = default;
   ~Verifier() override;
 
   Verifier(const Verifier&) = delete;
@@ -247,7 +240,6 @@ class Verifier final : public sim::RunObserver {
   RankState& rank_state(int rank);
   std::string file_label(const std::string& path, const FileGen& g) const;
 
-  VerifierOptions options_;
   Report report_;
 
   const void* engine_tag_ = nullptr;  ///< engine of the run being tracked

@@ -12,15 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "enzo/backends.hpp"
 #include "enzo/dump_inspect.hpp"
 #include "enzo/simulation.hpp"
+#include "golden_util.hpp"
 #include "platform/machine.hpp"
 #include "query/index.hpp"
 
@@ -69,12 +67,6 @@ std::uint64_t fnv1a(const void* data, std::size_t n,
   return h;
 }
 
-std::uint64_t bits_of(double v) {
-  std::uint64_t b = 0;
-  std::memcpy(&b, &v, sizeof b);
-  return b;
-}
-
 struct Pins {
   std::uint64_t store_fnv = 0;  ///< (name, bytes) of every object, by name
   std::uint64_t dump_bits = 0;  ///< rank 0's virtual seconds, as bits
@@ -98,23 +90,8 @@ std::ostream& operator<<(std::ostream& os, const Pins& p) {
             << p.n_particles << ", " << p.grids << "}";
 }
 
-/// Unsets PARAMRIO_SCHED_SEED for the scope, restoring the outer value.
-class ScopedNoSchedSeed {
- public:
-  ScopedNoSchedSeed() {
-    if (const char* v = std::getenv("PARAMRIO_SCHED_SEED")) saved_ = v;
-    ::unsetenv("PARAMRIO_SCHED_SEED");
-  }
-  ~ScopedNoSchedSeed() {
-    if (saved_) ::setenv("PARAMRIO_SCHED_SEED", saved_->c_str(), 1);
-  }
-
- private:
-  std::optional<std::string> saved_;
-};
-
 Pins run_pins(Kind kind, std::uint64_t seed) {
-  ScopedNoSchedSeed no_seed;
+  testutil::ScopedNoSchedSeed no_seed;
   enzo::SimulationConfig config;
   config.root_dims = {32, 32, 32};
   config.particles_per_cell = 0.25;
@@ -135,7 +112,7 @@ Pins run_pins(Kind kind, std::uint64_t seed) {
       call();
       const double dt = c.proc().now() - t0;
       c.barrier();
-      return bits_of(dt);
+      return testutil::bits_of(dt);
     };
     const std::uint64_t dump = timed(
         [&] { backend->write_dump(c, sim.state(), kBase); });

@@ -1,6 +1,9 @@
 // Unit tests for the network cost model and the storage primitives.
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "golden_util.hpp"
 #include "net/network.hpp"
 #include "obs/registry.hpp"
 #include "sim/engine.hpp"
@@ -74,9 +77,8 @@ TEST(Network, NicContentionSerializesSendersToOneNode) {
   Network nw(p, 3);
   // Pin the classic rank tie order: the assertion below names rank 1 as
   // the *second* sender into node 2's NIC queue.
-  Engine::Options o = opts(3);
-  o.env_perturb = false;
-  Engine::run(o, [&](Proc& proc) {
+  testutil::ScopedNoSchedSeed no_seed;
+  Engine::run(opts(3), [&](Proc& proc) {
     if (proc.rank() != 2) {
       nw.send(proc, 2, 1'000'000);
     }
@@ -196,6 +198,29 @@ TEST(ObjectStore, ReadPastEndThrows) {
   os.create("a");
   std::vector<std::byte> out(1);
   EXPECT_THROW(os.read_at("a", 0, out), IoError);
+}
+
+// Both range checks compare by subtraction: a range that wraps past 2^64
+// is an IoError naming the object, not an out-of-bounds copy.
+TEST(ObjectStore, RangeThatWrapsIsAnIoError) {
+  stor::ObjectStore os;
+  os.create("wrap.dat");
+  os.write_at("wrap.dat", 0, std::vector<std::byte>(4096));
+  const std::uint64_t top = std::numeric_limits<std::uint64_t>::max() - 9;
+  std::vector<std::byte> buf(100);
+  try {
+    os.read_at("wrap.dat", top, buf);
+    FAIL() << "read of a wrapped range";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("wrap.dat"), std::string::npos);
+  }
+  try {
+    os.write_at("wrap.dat", top, buf);
+    FAIL() << "write of a wrapped range";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("wrap.dat"), std::string::npos);
+  }
+  EXPECT_EQ(os.size("wrap.dat"), 4096u);
 }
 
 TEST(ObjectStore, MissingObjectThrows) {

@@ -7,7 +7,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "mpi/io/deferred_scope.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/histogram.hpp"
 #include "obs/profiler.hpp"
@@ -391,7 +390,7 @@ TEST(Detail, DeferredModeWaitsAreDropped) {
   sim::Engine::run(opts(1), [&c](sim::Proc& p) {
     p.advance(0.25);
     {
-      mpi::io::DeferredScope defer(p);
+      sim::DeferredScope defer(p);
       c.record_wait(p, WaitKind::kSettleWait, 0.25, 0.5);
     }
     c.record_wait(p, WaitKind::kSettleWait, 0.25, 0.75);

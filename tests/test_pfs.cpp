@@ -4,6 +4,7 @@
 // local-disk scaling).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -327,6 +328,25 @@ TEST(LocalDiskFs, PerRankDisksScale) {
   double t1 = run_with(1);
   double t8 = run_with(8);
   EXPECT_GT(t1, 6.0 * t8);  // near-linear scaling
+}
+
+// The EOF check compares by subtraction: an offset near the top of the
+// range must not wrap offset + length back inside the file.
+TEST(LocalDiskFs, ReadAtAnOffsetThatWrapsIsAnIoError) {
+  pfs::LocalDiskFs fs(pfs::LocalDiskFsParams{}, 1);
+  int fd = fs.open("wrap.dat", OpenMode::kCreate);  // outside the sim
+  fs.write_at(fd, 0, pattern(4 * KiB));
+  Engine::run(opts(1), [&](Proc&) {
+    std::vector<std::byte> out(100);
+    try {
+      fs.read_at(fd, std::numeric_limits<std::uint64_t>::max() - 9, out);
+      FAIL() << "a range that wraps past 2^64 must not pass the EOF check";
+    } catch (const IoError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("wrap.dat"), std::string::npos) << what;
+      EXPECT_NE(what.find("EOF"), std::string::npos) << what;
+    }
+  });
 }
 
 TEST(LocalDiskFs, RemoteReadDetection) {

@@ -12,6 +12,7 @@
 #include <xmmintrin.h>
 #endif
 
+#include "golden_util.hpp"
 #include "sim/engine.hpp"
 
 namespace paramrio::sim {
@@ -20,14 +21,6 @@ namespace {
 Engine::Options opts(int n) {
   Engine::Options o;
   o.nprocs = n;
-  return o;
-}
-
-/// Classic lowest-rank tie order, immune to a suite-wide
-/// PARAMRIO_SCHED_SEED — for the tests that document that exact order.
-Engine::Options classic_opts(int n) {
-  Engine::Options o = opts(n);
-  o.env_perturb = false;
   return o;
 }
 
@@ -69,10 +62,11 @@ TEST(Engine, ExceptionInBodyPropagates) {
 }
 
 TEST(Engine, ExecutionIsSerializedAndDeterministic) {
+  testutil::ScopedNoSchedSeed no_seed;  // the classic tie order
   // Record the order in which ranks execute their events; with the
   // min-clock scheduler this order is a pure function of the virtual times.
   std::vector<int> order;
-  Engine::run(classic_opts(3), [&](Proc& p) {
+  Engine::run(opts(3), [&](Proc& p) {
     // rank 0 events at t=1,2,3; rank 1 at t=2,4,6; rank 2 at t=3,6,9
     for (int i = 0; i < 3; ++i) {
       p.advance(static_cast<double>(p.rank() + 1));
@@ -170,9 +164,10 @@ TEST(Timeline, FifoQueueing) {
 }
 
 TEST(Engine, SharedTimelineSerializesContendingProcs) {
+  testutil::ScopedNoSchedSeed no_seed;  // the classic tie order
   // 4 procs each request 1s of service on the same resource at t=0.
   Timeline disk;
-  auto r = Engine::run(classic_opts(4), [&](Proc& p) {
+  auto r = Engine::run(opts(4), [&](Proc& p) {
     p.use_resource(disk, 1.0, TimeCategory::kIo);
   });
   // Served in rank order (deterministic tie-break): completions 1,2,3,4.
@@ -306,7 +301,8 @@ TEST(Timeline, BackgroundClassYieldsToForeground) {
 /// its block.
 std::pair<std::vector<int>, std::vector<double>> schedule_trace(
     std::uint64_t perturb) {
-  Engine::Options o = classic_opts(6);
+  testutil::ScopedNoSchedSeed no_seed;  // seed 0 is the classic tie order
+  Engine::Options o = opts(6);
   o.perturb_seed = perturb;
   std::vector<int> order;
   auto r = Engine::run(o, [&](Proc& p) {
@@ -359,9 +355,10 @@ TEST(EngineSchedule, GoldenOrderAndFinishTimesArePinned) {
 // ---- fibers ----------------------------------------------------------------
 
 TEST(EngineBackends, FiberBackendScalesToManyProcs) {
+  testutil::ScopedNoSchedSeed no_seed;  // the classic tie order
   // Far beyond what one OS thread per rank could sensibly run under a test:
   // 2048 fibers, each doing real work, in one scheduler thread.
-  auto r = Engine::run(classic_opts(2048), [](Proc& p) {
+  auto r = Engine::run(opts(2048), [](Proc& p) {
     p.advance(0.001 * (p.rank() % 7 + 1));
     p.advance(0.5);
   });
@@ -370,13 +367,14 @@ TEST(EngineBackends, FiberBackendScalesToManyProcs) {
 }
 
 TEST(EngineBackends, DeepRecursionFitsTheDefaultFiberStack) {
+  testutil::ScopedNoSchedSeed no_seed;  // the classic tie order
   // Recursion deep enough to need more than a page of fiber stack.
   std::function<double(Proc&, int)> rec = [&](Proc& p, int d) -> double {
     volatile char pad[512] = {0};
     if (d == 0) return pad[0] + p.now();
     return rec(p, d - 1);
   };
-  auto r = Engine::run(classic_opts(2), [&](Proc& p) {
+  auto r = Engine::run(opts(2), [&](Proc& p) {
     p.advance(1.0);
     rec(p, 64);
   });
@@ -409,13 +407,14 @@ void set_fp_control(int round, bool flush_to_zero) {
 // to each fiber: a switch must carry it away with the suspended fiber and
 // bring back the resumed one's, and the scheduler's own is left untouched.
 TEST(EngineBackends, FloatingPointControlStateBelongsToEachFiber) {
+  testutil::ScopedNoSchedSeed no_seed;  // the classic tie order
   const std::pair<int, unsigned> outer = fp_control();
   set_fp_control(FE_UPWARD, true);
   const std::pair<int, unsigned> upward = fp_control();
   set_fp_control(FE_TONEAREST, false);
   const std::pair<int, unsigned> nearest = fp_control();
   std::pair<int, unsigned> rank1_saw, rank0_resumed_with;
-  Engine::run(classic_opts(2), [&](Proc& p) {
+  Engine::run(opts(2), [&](Proc& p) {
     if (p.rank() == 0) {
       set_fp_control(FE_UPWARD, true);
       p.advance(1.0);  // rank 1, still at clock 0, runs now
@@ -508,6 +507,7 @@ TEST(EngineAbort, RepeatedRunsAfterAbortStayClean) {
 // ---- multi-job tenancy -----------------------------------------------------
 
 TEST(EngineJobs, RanksAreJobLocalAndGlobalRanksAreDense) {
+  testutil::ScopedNoSchedSeed no_seed;  // the classic tie order
   std::vector<int> ranks, globals, jobs;
   std::vector<Engine::JobSpec> spec(2);
   spec[0].name = "a";
@@ -527,7 +527,6 @@ TEST(EngineJobs, RanksAreJobLocalAndGlobalRanksAreDense) {
     EXPECT_EQ(p.nprocs(), 3);
   };
   Engine::Options o;
-  o.env_perturb = false;
   auto results = Engine::run_jobs(o, std::move(spec));
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].name, "a");
@@ -540,6 +539,7 @@ TEST(EngineJobs, RanksAreJobLocalAndGlobalRanksAreDense) {
 }
 
 TEST(EngineJobs, StartTimeOffsetsTheJobsClockDomain) {
+  testutil::ScopedNoSchedSeed no_seed;  // the classic tie order
   std::vector<Engine::JobSpec> spec(2);
   spec[0].nprocs = 1;
   spec[0].body = [](Proc& p) { p.advance(1.0); };
@@ -551,13 +551,13 @@ TEST(EngineJobs, StartTimeOffsetsTheJobsClockDomain) {
     p.advance(1.0);
   };
   Engine::Options o;
-  o.env_perturb = false;
   auto results = Engine::run_jobs(o, std::move(spec));
   EXPECT_DOUBLE_EQ(results[0].result.makespan, 1.0);
   EXPECT_DOUBLE_EQ(results[1].result.makespan, 11.0);  // absolute clocks
 }
 
 TEST(EngineJobs, CrossJobSignalByJobAndRank) {
+  testutil::ScopedNoSchedSeed no_seed;  // the classic tie order
   std::vector<Engine::JobSpec> spec(2);
   spec[0].nprocs = 1;
   spec[0].body = [](Proc& p) {
@@ -570,16 +570,16 @@ TEST(EngineJobs, CrossJobSignalByJobAndRank) {
     p.engine().signal(/*job=*/0, /*rank=*/0);
   };
   Engine::Options o;
-  o.env_perturb = false;
   auto results = Engine::run_jobs(o, std::move(spec));
   ASSERT_EQ(results.size(), 2u);
 }
 
 TEST(EngineJobs, SingleJobRunJobsMatchesRun) {
+  testutil::ScopedNoSchedSeed no_seed;  // the classic tie order
   auto body = [](Proc& p) {
     for (int i = 0; i < 3; ++i) p.advance(p.rng().next_double() + 0.1);
   };
-  Engine::Options o = classic_opts(4);
+  Engine::Options o = opts(4);
   auto direct = Engine::run(o, body);
   std::vector<Engine::JobSpec> spec(1);
   spec[0].nprocs = 4;
@@ -591,6 +591,7 @@ TEST(EngineJobs, SingleJobRunJobsMatchesRun) {
 }
 
 TEST(EngineJobs, ExceptionInOneJobAbortsTheRun) {
+  testutil::ScopedNoSchedSeed no_seed;  // the classic tie order
   std::vector<Engine::JobSpec> spec(2);
   spec[0].nprocs = 2;
   spec[0].body = [](Proc& p) { p.block(); };
@@ -600,7 +601,6 @@ TEST(EngineJobs, ExceptionInOneJobAbortsTheRun) {
     throw IoError("job 1 failed");
   };
   Engine::Options o;
-  o.env_perturb = false;
   EXPECT_THROW(Engine::run_jobs(o, std::move(spec)), IoError);
 }
 

@@ -17,12 +17,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "amr/particles_par.hpp"
+#include "base/byte_io.hpp"
 #include "check/io_checker.hpp"
 #include "enzo/backends.hpp"
 #include "enzo/checkpoint.hpp"
@@ -666,6 +668,62 @@ TEST(StageRecover, TornTailIsDiscardedCommittedRecordsSurvive) {
   EXPECT_EQ(f, pattern(1000, 1));
   // g's only record was torn: the file never became visible.
   EXPECT_FALSE(staged2.store().exists("g"));
+}
+
+// A record whose lengths run past the end of its segment, or whose logical
+// range runs past the largest offset, ends its chain like a torn tail: the
+// records before it survive.
+TEST(StageRecover, RecordPastItsSegmentOrTheOffsetRangeEndsItsChain) {
+  constexpr std::uint64_t kTop = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kOffsetField = 12;   // after three u32s
+  constexpr std::uint64_t kPayloadField = 20;  // after the offset
+  const std::pair<std::uint64_t, std::uint64_t> plants[] = {
+      {kPayloadField, kTop - 15},  // header + path + payload wraps to 13
+      {kOffsetField, kTop - 99},   // offset + payload length overflows
+  };
+  for (const auto& [field, value] : plants) {
+    TierPair t;
+    {
+      StagedFs staged(StagedFsParams{}, t.staging, t.dest);
+      sim::Engine::Options opts;
+      opts.nprocs = 1;
+      sim::Engine::run(opts, [&](sim::Proc&) {
+        int f = staged.open("f", pfs::OpenMode::kCreate);
+        staged.write_at(f, 0, pattern(1000, 1));
+        staged.close(f);
+        int g = staged.open("g", pfs::OpenMode::kCreate);
+        staged.write_at(g, 0, pattern(500, 2));
+        staged.close(g);
+      });
+    }
+    // Plant the value in the segment's last record, g's data.
+    const std::string seg = ".stage/r0/seg0";
+    std::vector<std::byte> raw(t.staging.store().size(seg));
+    t.staging.store().read_at(seg, 0, raw);
+    std::uint64_t last = 0;
+    for (std::uint64_t pos = 0; pos < raw.size();) {
+      ByteReader r(std::span<const std::byte>(raw).subspan(pos));
+      r.skip(8);  // magic, kind
+      const std::uint32_t path_len = r.u32();
+      r.skip(8);  // offset
+      last = pos;
+      pos += 28 + path_len + r.u64();
+    }
+    ByteWriter w;
+    w.u64(value);
+    const std::vector<std::byte> bytes = w.take();
+    std::copy(bytes.begin(), bytes.end(),
+              raw.begin() + static_cast<std::ptrdiff_t>(last + field));
+    t.staging.store().write_at(seg, 0, raw);
+
+    StagedFs staged2(StagedFsParams{}, t.staging, t.dest);
+    ASSERT_NO_THROW(staged2.recover()) << "field " << field;
+    ASSERT_TRUE(staged2.store().exists("f"));
+    std::vector<std::byte> f(staged2.store().size("f"));
+    staged2.store().read_at("f", 0, f);
+    EXPECT_EQ(f, pattern(1000, 1));
+    EXPECT_FALSE(staged2.store().exists("g")) << "field " << field;
+  }
 }
 
 TEST(StageRecover, RemoveTombstoneStopsResurrection) {

@@ -463,9 +463,6 @@ TEST(PerturbDifferential, EnvSeedFallbackPerturbsTheSchedule) {
   EXPECT_EQ(o.effective_perturb_seed(), 0u);
   ::setenv("PARAMRIO_SCHED_SEED", "7", 1);
   EXPECT_EQ(o.effective_perturb_seed(), 7u);
-  o.env_perturb = false;  // the classic-order pin ignores the environment
-  EXPECT_EQ(o.effective_perturb_seed(), 0u);
-  o.env_perturb = true;
   o.perturb_seed = 3;  // the programmatic seed wins over the environment
   EXPECT_EQ(o.effective_perturb_seed(), 3u);
   ::unsetenv("PARAMRIO_SCHED_SEED");

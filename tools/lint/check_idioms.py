@@ -12,10 +12,10 @@ missing-wait
     `lint:allow(missing-wait)` on or directly above the call line.
 
 deferred-raii
-    `Proc::begin_deferred()`/`end_deferred()` are engine and DeferredScope
-    internals; everything else models in-flight work through DeferredScope
-    RAII.  Heap-allocating a DeferredScope defeats the RAII contract.
-    Suppress with `lint:allow(deferred-raii)`.
+    `Proc::begin_deferred()`/`end_deferred()` are engine internals: outside
+    src/sim/engine.*, in-flight work goes through `sim::DeferredScope` RAII,
+    which lives beside them in engine.hpp.  Heap-allocating a DeferredScope
+    defeats the RAII contract.  Suppress with `lint:allow(deferred-raii)`.
 
 obs-span
     Every public I/O entry point of mpi::io::File carries an OBS_SPAN in its
@@ -39,6 +39,14 @@ retry-loop
     spent.  Under src/, a `catch (const TransientIoError&` outside
     src/fault/retry.* is a hand-written second loop unless it says why it
     is not one: suppress with `lint:allow(retry-loop)` and a reason.
+
+shared-wait
+    Waiting for work another proc has in flight is one loop per kind of
+    wait: a message in `Comm::recv`, and shared query work in
+    `query::Service::single_flight`, which blocks, records the wait and
+    wakes the waiters whether the work returned or threw.  Under src/, a
+    `block()` call outside src/sim/ and those two bodies is a hand-written
+    second loop: suppress with `lint:allow(shared-wait)` and a reason.
 """
 
 import re
@@ -55,18 +63,21 @@ DEFERRED_HEAP = re.compile(r"new\s+DeferredScope|make_unique\s*<\s*DeferredScope
 TRANSIENT_CATCH = re.compile(
     r"catch\s*\(\s*(?:const\s+)?(?:\w+::)*TransientIoError\b")
 RETRY_LOOP_HOME = {Path("src/fault/retry.hpp"), Path("src/fault/retry.cpp")}
+BLOCK_CALL = re.compile(r"(?:\.|->)\s*block\s*\(\s*\)")
+# The function bodies that may block a proc, by file.
+SHARED_WAIT_HOMES = {
+    Path("src/mpi/comm.cpp"): "Comm::recv",
+    Path("src/query/service.cpp"): "Service::single_flight",
+}
 THREADING = re.compile(
     r"\bstd::(?:thread|jthread|mutex|shared_mutex|condition_variable|atomic)\b"
     r"|\bpthread_create\b")
 
-# Files that legitimately touch the raw deferred-clock API: the engine
-# itself and the RAII wrappers built directly on it (mpi::io::DeferredScope,
-# stage/'s local DeferredRegion).
+# Files that legitimately touch the raw deferred-clock API: the engine and
+# sim::DeferredScope beside it.
 DEFERRED_ALLOWED = {
     Path("src/sim/engine.hpp"),
     Path("src/sim/engine.cpp"),
-    Path("src/mpi/io/deferred_scope.hpp"),
-    Path("src/stage/staged_fs.cpp"),
 }
 
 # Public I/O entry points of mpi::io::File that must open an OBS_SPAN, and
@@ -151,7 +162,7 @@ def check_deferred_raii(path, lines, findings):
                                                       "deferred-raii"):
             findings.append(
                 f"{path}:{i + 1}: [deferred-raii] raw begin/end_deferred "
-                "outside the engine; use DeferredScope RAII")
+                "outside the engine; use sim::DeferredScope")
 
 
 def check_single_thread(path, lines, findings):
@@ -174,6 +185,26 @@ def check_retry_loop(path, lines, findings):
             findings.append(
                 f"{path}:{i + 1}: [retry-loop] TransientIoError caught "
                 "outside fault::transfer; route the transfer through it")
+
+
+def check_shared_wait(path, lines, findings):
+    if path.parts[0] != "src" or path.parts[1] == "sim":
+        return
+    home = range(0)
+    if path in SHARED_WAIT_HOMES:
+        sig = re.compile(re.escape(SHARED_WAIT_HOMES[path]) + r"\s*\(")
+        for i, line in enumerate(lines):
+            code = strip_comment(line)
+            if sig.search(code) and not code.rstrip().endswith(";"):
+                home = range(i, body_end(lines, i))
+                break
+    for i, line in enumerate(lines):
+        if (BLOCK_CALL.search(strip_comment(line)) and i not in home
+                and not allowed(lines, i, "shared-wait")):
+            findings.append(
+                f"{path}:{i + 1}: [shared-wait] block() outside Comm::recv "
+                "and query::Service::single_flight; wait through one of "
+                "them")
 
 
 def check_obs_span(findings):
@@ -214,6 +245,7 @@ def main():
             check_deferred_raii(rel, lines, findings)
             check_single_thread(rel, lines, findings)
             check_retry_loop(rel, lines, findings)
+            check_shared_wait(rel, lines, findings)
     check_obs_span(findings)
 
     for f in findings:
