@@ -46,21 +46,21 @@ const GenerationIndex& Service::open_generation(std::uint64_t gen) {
 
 // The single-flight behind every shared wait in the service: a
 // generation's index build, a step file's metadata decode, a cache block's
-// fetch.  Until `ready()` holds a result, the calling proc claims `key` and
-// runs `work`, unless another proc already holds the claim: then it joins
-// the key's waiters (`on_wait` counts it), blocks until the claimant is
-// done, recorded as a server-queue wait, and checks again.  `work`
-// publishes what it made where `ready()` looks, and may also return it.
-// Whether it returns or throws, the claim is then dropped and the waiters
-// are woken in arrival order.  A failure hands over nothing but the claim:
-// the first waiter to run after it does the work again.
-template <typename R, typename Key, typename Ready, typename Work,
-          typename OnWait>
-R Service::single_flight(Flights<Key>& flights, const Key& key, Ready ready,
-                         Work work, OnWait on_wait) {
+// fetch.  Until `ready()` returns a result (a non-null pointer), the
+// calling proc claims `key` and runs `work`, unless another proc already
+// holds the claim: then it joins the key's waiters (`on_wait` counts it),
+// blocks until the claimant is done, recorded as a server-queue wait, and
+// checks again.  `work` publishes what it made where `ready()` looks, and
+// may also return it.  Whether it returns or throws, the claim is then
+// dropped and the waiters are woken in arrival order.  A failure hands
+// over nothing but the claim: the first waiter to run after it does the
+// work again.
+template <typename Key, typename Ready, typename Work, typename OnWait>
+auto Service::single_flight(Flights<Key>& flights, const Key& key,
+                            Ready ready, Work work, OnWait on_wait) {
   sim::Proc& proc = sim::current_proc();
   for (;;) {
-    if (std::optional<R> r = ready()) return *std::move(r);
+    if (auto r = ready()) return r;
     if (auto in = flights.find(key); in != flights.end()) {
       in->second.push_back(proc.global_rank());
       on_wait();
@@ -79,22 +79,22 @@ R Service::single_flight(Flights<Key>& flights, const Key& key, Ready ready,
         for (int r : node.mapped()) eng.signal(r);
       }
     } release{flights, key};
-    if (std::optional<R> r = work()) return *std::move(r);
+    if (auto r = work()) return r;
   }
 }
 
 Service::GenState& Service::open_state(std::uint64_t gen) {
-  return *single_flight<GenState*>(
+  return *single_flight(
       opening_, gen,
-      [&]() -> std::optional<GenState*> {
+      [&]() -> GenState* {
         auto it = gens_.find(gen);
-        if (it == gens_.end()) return std::nullopt;
+        if (it == gens_.end()) return nullptr;
         // The index exists from its ready time on: a reader that waited
         // for it, or merely runs behind the builder's clock, starts there.
         obs::settle_to(it->second.ready_time, obs::WaitKind::kSettleWait);
         return &it->second;
       },
-      [&]() -> std::optional<GenState*> {
+      [&]() -> GenState* {
         require_committed(gen);
         GenState st;
         const std::string gbase = enzo::generation_base(series_base_, gen);
@@ -126,9 +126,9 @@ const FieldExtent& Service::grid_field(GenState& st, std::uint64_t grid_id,
   GenerationIndex& ix = st.index;
   // Decoded, or not in the hierarchy (ix.field then names what is
   // missing); usable from the time its decode landed.
-  const auto decoded = [&]() -> std::optional<const FieldExtent*> {
+  const auto decoded = [&]() -> const FieldExtent* {
     if (ix.fields.count(grid_id) == 0 && ix.meta.hierarchy.has(grid_id)) {
-      return std::nullopt;
+      return nullptr;
     }
     auto at = st.decoded_at.find(grid_id);
     if (at != st.decoded_at.end()) {
@@ -136,13 +136,13 @@ const FieldExtent& Service::grid_field(GenState& st, std::uint64_t grid_id,
     }
     return &ix.field(grid_id, name);  // IoError for an unknown grid/field
   };
-  if (std::optional<const FieldExtent*> e = decoded()) return **e;
+  if (const FieldExtent* e = decoded()) return *e;
   // A reader whose step file another reader is decoding waits for that
   // result instead of reading the same metadata again.
   const std::string path = st.decoder->step_path(grid_id);
-  return *single_flight<const FieldExtent*>(
+  return *single_flight(
       st.decoding, path, decoded,
-      [&]() -> std::optional<const FieldExtent*> {
+      [&]() -> const FieldExtent* {
         std::vector<std::uint64_t> added;
         {
           OBS_SPAN("query.decode", sim::TimeCategory::kIo);
@@ -156,7 +156,7 @@ const FieldExtent& Service::grid_field(GenState& st, std::uint64_t grid_id,
         const double now = sim::current_proc().now();
         for (std::uint64_t id : added) st.decoded_at[id] = now;
         grid_decodes_ += added.size();
-        return std::nullopt;  // check again: a step may stop short of it
+        return nullptr;  // check again: a step may stop short of it
       },
       [] {});
 }
@@ -203,18 +203,18 @@ SharedCache::BlockData Service::cached_block(const std::string& path,
                                              std::uint64_t len,
                                              ExtractPlan* plan) {
   const SharedCache::Key key{path, block_off};
-  return single_flight<SharedCache::BlockData>(
+  return single_flight(
       inflight_, key,
-      [&]() -> std::optional<SharedCache::BlockData> {
+      [&]() -> SharedCache::BlockData {
         std::optional<SharedCache::Found> found = cache_.lookup(key);
-        if (!found) return std::nullopt;
+        if (!found) return nullptr;
         if (plan != nullptr) ++plan->cache_hits;
         // A prefetch may publish a block before its shadow-clock fetch
         // completes; pay only the un-hidden remainder.
         obs::settle_to(found->ready_time, obs::WaitKind::kSettleWait);
         return found->data;
       },
-      [&]() -> std::optional<SharedCache::BlockData> {
+      [&]() -> SharedCache::BlockData {
         auto data = std::make_shared<const std::vector<std::byte>>(
             fetch_block(path, block_off, len));
         ++demand_fetches_;

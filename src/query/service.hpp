@@ -192,13 +192,12 @@ class Service {
     std::uint64_t size = 0;
   };
 
-  /// Until `ready()` holds a result, run `work` for `key` unless another
+  /// Until `ready()` returns non-null, run `work` for `key` unless another
   /// proc already is; otherwise call `on_wait`, block until it is done and
   /// check again (see service.cpp).
-  template <typename R, typename Key, typename Ready, typename Work,
-            typename OnWait>
-  R single_flight(Flights<Key>& flights, const Key& key, Ready ready,
-                  Work work, OnWait on_wait);
+  template <typename Key, typename Ready, typename Work, typename OnWait>
+  auto single_flight(Flights<Key>& flights, const Key& key, Ready ready,
+                     Work work, OnWait on_wait);
 
   /// open_generation's state for `gen`, built (or waited for) if needed.
   GenState& open_state(std::uint64_t gen);
